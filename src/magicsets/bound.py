@@ -18,6 +18,7 @@ import numpy as np
 
 from .assign import assignment_from_gram
 from .gf2 import (
+    _NUMPY_ENUM_DIM,
     BitMatrix,
     BitVector,
     CosetTooLargeError,
@@ -26,8 +27,9 @@ from .gf2 import (
     row_combination,
     _echelon,
     _reduce_by,
+    _span_elements,
 )
-from .gram import NoMagicGramError, valid_gram_space, _gray_enumerate, _rank_rows
+from .gram import GramSpace, NoMagicGramError, valid_gram_space, _rank_rows
 from .hypergraph import Hypergraph, incidence_matrix, is_proper_eulerian
 
 #: Default cap on the brute-force vertex count (2^m assignments).
@@ -219,8 +221,59 @@ class HypergraphBoundReport:
         return doc
 
 
-def _coset_rep(c_bits: int, echelon_basis) -> int:
-    return _reduce_by(c_bits, echelon_basis)
+def _synthesized_rep(h: Hypergraph, g: BitMatrix, echelon_basis) -> int:
+    """Coset representative of the context signs of one assignment realizing g."""
+    k = _rank_rows(list(g.rows)) // 2
+    return _reduce_by(assignment_from_gram(h, g, k).context_signs.bits, echelon_basis)
+
+
+def _pauli_sign_cosets(
+    h: Hypergraph, space: GramSpace, echelon_basis, gram_cap: int
+) -> tuple[dict[int, None], int, bool]:
+    """Sign cosets of magic Pauli assignments, from d+1 syntheses.
+
+    Returns (reps, matrices covered, exact).  reps holds each coset's
+    representative once, in the Gray-code order of the magic Gram
+    matrices offset + span(nonmagic_basis) that first realize it.  Past
+    ``gram_cap`` only the offset and its d single-basis shifts are covered.
+    """
+    offset = space.magic_offset
+    r0 = _synthesized_rep(h, offset, echelon_basis)
+    deltas = [_synthesized_rep(h, offset ^ b, echelon_basis) ^ r0 for b in space.nonmagic_basis]
+    d = len(deltas)
+    reps = {r0: None}
+    if d > gram_cap:
+        for delta in deltas:
+            reps.setdefault(r0 ^ delta)
+        return reps, d + 1, False
+    cur = r0
+    for step in range(1, 1 << d):
+        cur ^= deltas[(step & -step).bit_length() - 1]
+        reps.setdefault(cur)
+    return reps, 1 << d, True
+
+
+def _coset_weights(echelon_basis, reps, n: int, coset_cap: int) -> tuple[list[int], bool]:
+    """Minimum weight of every coset rep + row(M), and whether all are exact.
+
+    Several cosets of a small row space share one numpy enumeration of it;
+    otherwise each coset is searched on its own, degrading to its best
+    upper bound past ``coset_cap``.
+    """
+    rows = [b for _, b in echelon_basis]
+    if len(reps) > 1 and len(rows) <= min(coset_cap, _NUMPY_ENUM_DIM) and n <= 64:
+        elems = _span_elements(rows)
+        return [int(np.bitwise_count(elems ^ np.uint64(rep)).min()) for rep in reps], True
+    row_vecs = [BitVector(n, row) for row in rows]
+    weights, exact = [], True
+    for rep in reps:
+        try:
+            w, _ = coset_min_weight(row_vecs, BitVector(n, rep), cap=coset_cap)
+        except CosetTooLargeError as err:
+            w = err.best_weight
+            exact = False
+        weights.append(w)
+    return weights, exact
 
 
 def hypergraph_bound(
@@ -231,12 +284,31 @@ def hypergraph_bound(
 ) -> HypergraphBoundReport:
     """Minimum bound over magic assignments: b(H) = |E| - 2*max_C w(C).
 
-    pauli_only: iterate sign patterns of one synthesized assignment per
-    magic Gram matrix (assignments respecting the same matrix share their
+    pauli_only: iterate the sign cosets of Pauli assignments realizing the
+    magic Gram matrices (assignments respecting the same matrix share their
     bound).  Otherwise iterate every odd-weight coset of the incidence row
     space, since observable negations realize any odd pattern within a
-    coset.  Caps exceeded degrade to a flagged partial result over the
-    sampled portion.
+    coset.
+
+    The Pauli-only route needs only d+1 syntheses for a magic space of
+    dimension d, because the sign coset c + row(M) of an assignment is an
+    affine function of its Gram matrix G.  Proof: take an edge set y in
+    which every vertex occurs an even number of times, i.e. M.y = 0 for
+    the incidence matrix M.  The product of y's contexts, in stored order,
+    is (-1)^<c, y> I.  Sorting that word by vertex swaps adjacent P_a, P_b
+    at a sign (-1)^G_ab each; every P_v then occurs an even number of
+    times and the sorted word is I.  So <c, y> is the inversion parity of
+    G over y's concatenation, the ``magic_parity`` functional restricted
+    to y, which is linear in G.  GF(2)^n / row(M) is dual to ker M, so the
+    coset of c is a linear function of G.  Synthesizing at the magic
+    offset and at offset + b_l for each nonmagic basis matrix b_l gives
+    the coset of every magic matrix offset + sum x_l b_l as
+    rep(offset) + sum x_l (rep(offset + b_l) + rep(offset)).
+
+    ``gram_matrices_checked`` counts the magic Gram matrices covered: all
+    2^d of them up to ``gram_cap``; past it, the offset and its d
+    single-basis shifts, flagged inexact.  A coset search past
+    ``coset_cap`` degrades to a flagged upper bound on its weight.
     """
     ok, diag = is_proper_eulerian(h)
     if not ok:
@@ -244,8 +316,6 @@ def hypergraph_bound(
     n = h.num_edges
     M = incidence_matrix(h)
     ech = _echelon(M.rows)
-    reps: dict[int, None] = {}
-    exact = True
     grams_checked = None
 
     space = valid_gram_space(h)
@@ -253,26 +323,10 @@ def hypergraph_bound(
         raise NoMagicGramError(f"{h.name or 'hypergraph'} admits no magic Gram matrix")
 
     if pauli_only:
-        d = len(space.nonmagic_basis)
-        grams_checked = 0
-        if d <= gram_cap:
-            basis_rows = [list(b.rows) for b in space.nonmagic_basis]
-            for _, rows in _gray_enumerate(list(space.magic_offset.rows), basis_rows):
-                g = BitMatrix(h.vertex_count, tuple(rows))
-                k = _rank_rows(list(rows)) // 2
-                a = assignment_from_gram(h, g, k)
-                reps.setdefault(_coset_rep(a.context_signs.bits, ech))
-                grams_checked += 1
-        else:
-            exact = False
-            samples = [space.magic_offset]
-            samples += [space.magic_offset ^ b for b in space.nonmagic_basis]
-            for g in samples:
-                k = _rank_rows(list(g.rows)) // 2
-                a = assignment_from_gram(h, g, k)
-                reps.setdefault(_coset_rep(a.context_signs.bits, ech))
-                grams_checked += 1
+        reps, grams_checked, exact = _pauli_sign_cosets(h, space, ech, gram_cap)
     else:
+        exact = True
+        reps = {}
         r = len(ech)
         codim = n - r
         pivots = {p for p, _ in ech}
@@ -294,16 +348,9 @@ def hypergraph_bound(
             if bits.bit_count() % 2 == 1:
                 reps.setdefault(bits)
 
-    best_w = None
-    best_rep = None
-    for rep in reps:
-        try:
-            w, _ = coset_min_weight([BitVector(n, r) for r in M.rows], BitVector(n, rep), cap=coset_cap)
-        except CosetTooLargeError as err:
-            w = err.best_weight
-            exact = False
-        if best_w is None or w > best_w:
-            best_w, best_rep = w, rep
+    weights, weights_exact = _coset_weights(ech, reps, n, coset_cap)
+    # The first coset of the largest weight, in the order reps were found.
+    best_rep, _ = max(zip(reps, weights), key=lambda item: item[1])
     base = noncontextual_bound(h, BitVector(n, best_rep), coset_cap=coset_cap)
     return HypergraphBoundReport(
         report=base,
@@ -311,7 +358,7 @@ def hypergraph_bound(
         cosets_checked=len(reps),
         gram_matrices_checked=grams_checked,
         maximizing_signs=BitVector(n, best_rep),
-        exact=exact and base.exact,
+        exact=exact and weights_exact and base.exact,
     )
 
 

@@ -266,13 +266,18 @@ def _lex_key(bits: int, length: int) -> tuple[int, ...]:
     return tuple((bits >> i) & 1 for i in range(length))
 
 
-def _min_weight_numpy(basis_rows: list[int], offset: int, length: int) -> tuple[int, int]:
-    """Enumerate the full coset with numpy popcounts (length <= 64 only)."""
-    dim = len(basis_rows)
-    elems = np.zeros(1, dtype=np.uint64)
-    elems[0] = offset
+def _span_elements(basis_rows: Sequence[int], offset: int = 0) -> np.ndarray:
+    """All 2^len(basis_rows) elements of offset + span(basis_rows) as uint64
+    (vector length <= 64 only), by XOR doubling."""
+    elems = np.full(1, offset, dtype=np.uint64)
     for b in basis_rows:
         elems = np.concatenate([elems, elems ^ np.uint64(b)])
+    return elems
+
+
+def _min_weight_numpy(basis_rows: list[int], offset: int, length: int) -> tuple[int, int]:
+    """Enumerate the full coset with numpy popcounts (length <= 64 only)."""
+    elems = _span_elements(basis_rows, offset)
     weights = np.bitwise_count(elems)
     w = int(weights.min())
     candidates = elems[weights == w]

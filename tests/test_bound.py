@@ -1,27 +1,133 @@
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from magicsets import bound, datasets
+from magicsets.assign import assignment_from_gram
 from magicsets.bound import (
+    HypergraphBoundReport,
     brute_force_bound,
     format_epsilon,
     hypergraph_bound,
     noncontextual_bound,
     tolerated_error,
 )
-from magicsets.gf2 import BitVector
-from magicsets.gram import NoMagicGramError
-from magicsets.hypergraph import incidence_matrix, parse_edge_list
+from magicsets.gf2 import (
+    BitMatrix,
+    BitVector,
+    CosetTooLargeError,
+    _echelon,
+    _reduce_by,
+    coset_min_weight,
+    null_space_basis,
+)
+from magicsets.gram import (
+    NoMagicGramError,
+    _gray_enumerate,
+    _rank_rows,
+    is_reduced,
+    magic_parity,
+    valid_gram_space,
+)
+from magicsets.hypergraph import Hypergraph, incidence_matrix, parse_edge_list
 from magicsets.orbits import ms327_hypergraph
+from magicsets.reduce import reduce_with
 
 from conftest import random_proper_eulerian
+
+#: hypergraph_bound(...).to_json_dict() per bundled structure and route,
+#: written by the implementation that synthesized one assignment per magic
+#: Gram matrix.  HB is absent (2^14 syntheses took minutes there).  The
+#: all-assignments route is absent where its per-coset search takes 9 s or
+#: more: HA, HC, MS3-29 and MS6-35.
+GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "hypergraph_bound_golden.json"
 
 
 def signs(entry):
     return entry.assignment.context_signs
+
+
+def sweep_bound_oracle(h: Hypergraph) -> HypergraphBoundReport:
+    """Pauli-only hypergraph bound from one synthesis per magic Gram matrix.
+
+    The 2^d sweep that the d+1-synthesis route replaced, kept as its test
+    oracle: every matrix gets its own assignment and every sign coset its
+    own coset_min_weight search.
+    """
+    n = h.num_edges
+    M = incidence_matrix(h)
+    ech = _echelon(M.rows)
+    space = valid_gram_space(h)
+    reps: dict[int, None] = {}
+    basis_rows = [list(b.rows) for b in space.nonmagic_basis]
+    for _, rows in _gray_enumerate(list(space.magic_offset.rows), basis_rows):
+        g = BitMatrix(h.vertex_count, tuple(rows))
+        a = assignment_from_gram(h, g, _rank_rows(list(rows)) // 2)
+        reps.setdefault(_reduce_by(a.context_signs.bits, ech))
+    row_vecs = [BitVector(n, r) for r in M.rows]
+    best_w = best_rep = None
+    exact = True
+    for rep in reps:
+        try:
+            w, _ = coset_min_weight(row_vecs, BitVector(n, rep))
+        except CosetTooLargeError as err:
+            w = err.best_weight
+            exact = False
+        if best_w is None or w > best_w:
+            best_w, best_rep = w, rep
+    base = noncontextual_bound(h, BitVector(n, best_rep))
+    return HypergraphBoundReport(
+        report=base,
+        pauli_only=True,
+        cosets_checked=len(reps),
+        gram_matrices_checked=1 << len(basis_rows),
+        maximizing_signs=BitVector(n, best_rep),
+        exact=exact and base.exact,
+    )
+
+
+def relabelled(h: Hypergraph, rng: random.Random) -> Hypergraph:
+    """h under a random vertex permutation, with its contexts shuffled."""
+    perm = list(range(1, h.vertex_count + 1))
+    rng.shuffle(perm)
+    edges = [[perm[v - 1] for v in e] for e in h.edges]
+    rng.shuffle(edges)
+    return Hypergraph.from_edges(edges, h.vertex_count)
+
+
+def seeded_magic_grams(h: Hypergraph, rng: random.Random, count: int) -> list[BitMatrix]:
+    """Up to ``count`` distinct magic Gram matrices: offset + random combinations."""
+    space = valid_gram_space(h)
+    grams = []
+    for _ in range(count):
+        x = rng.getrandbits(len(space.nonmagic_basis))
+        g = space.magic_offset
+        for l, b in enumerate(space.nonmagic_basis):
+            if (x >> l) & 1:
+                g = g ^ b
+        if g not in grams:
+            grams.append(g)
+    return grams
+
+
+def hb_descendants(max_dim: int) -> list[Hypergraph]:
+    """Children of HB from seeded non-reduced magic Gram matrices, the first
+    drawn for each magic-space dimension from 1 to max_dim."""
+    hb = datasets.load("HB").hypergraph
+    children: dict[int, Hypergraph] = {}
+    for g in seeded_magic_grams(hb, random.Random(2022), 40):
+        if is_reduced(g):
+            continue
+        child = reduce_with(hb, g).output
+        d = len(valid_gram_space(child).nonmagic_basis)
+        if 1 <= d <= max_dim:
+            children.setdefault(d, child)
+    return [children[d] for d in sorted(children)]
 
 
 class TestNoncontextualBound:
@@ -153,11 +259,50 @@ class TestHypergraphBound:
         assert (rep.report.b, rep.report.Q) == (21, 27)
         assert format_epsilon(rep.report.epsilon, 2) == "0.22"
 
-    def test_ms3_27b_single_coset(self, entries):
+    def test_ms3_27b_single_coset(self, entries, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return assignment_from_gram(*args, **kwargs)
+
+        monkeypatch.setattr(bound, "assignment_from_gram", counted)
         rep = hypergraph_bound(entries["MS3-27b"].hypergraph, pauli_only=True)
+        assert len(calls) == 7  # d+1 syntheses for d = 6
         assert rep.gram_matrices_checked == 64
         assert rep.cosets_checked == 1
         assert rep.report.b == 17
+
+    @pytest.mark.parametrize("name", sorted(json.loads(GOLDEN_PATH.read_text())))
+    def test_golden_json(self, name):
+        golden = json.loads(GOLDEN_PATH.read_text())[name]
+        h = datasets.load(name).hypergraph
+        for route, want in golden.items():
+            got = hypergraph_bound(h, pauli_only=route == "pauli_only").to_json_dict()
+            assert got == want, route
+
+    def test_matches_sweep_oracle(self, entries):
+        rng = random.Random(61)
+        inputs = [entries[name].hypergraph for name in ("MS3-27b", "HD", "square", "pentagram")]
+        inputs += hb_descendants(max_dim=9)
+        for h in inputs:
+            for _ in range(2):
+                g = relabelled(h, rng)
+                assert hypergraph_bound(g).to_json_dict() == sweep_bound_oracle(g).to_json_dict()
+
+    def test_sign_coset_law(self, entries):
+        """<c, y> is G's inversion parity over y's contexts for every y in ker M."""
+        rng = random.Random(67)
+        for name, e in entries.items():
+            if name == "HB":
+                continue
+            h = e.hypergraph
+            cycles = null_space_basis(incidence_matrix(h))
+            for g in seeded_magic_grams(h, rng, 3):
+                c = assignment_from_gram(h, g, _rank_rows(list(g.rows)) // 2).context_signs
+                for y in cycles:
+                    sub = Hypergraph(h.vertex_count, tuple(ed for j, ed in enumerate(h.edges) if y[j]))
+                    assert (c.bits & y.bits).bit_count() % 2 == magic_parity(sub, g), (name, y)
 
     def test_no_magic_rejected(self):
         with pytest.raises(NoMagicGramError):
