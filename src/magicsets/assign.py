@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .gf2 import BitMatrix, rank, row_combination
+from .gf2 import BitMatrix, Echelon, null_space_basis, rank, row_combination, solve_affine
 from .hypergraph import Hypergraph
 from .pauli import MagicAssignment, PauliString
 from .gram import validate_gram
@@ -33,23 +33,6 @@ class RankObstructionError(ValueError):
     """2k below the Gram-matrix rank: no k-qubit realization exists."""
 
 
-def _greedy_row_basis(g: BitMatrix) -> list[int]:
-    """Indices of the first maximal independent set of rows, in order."""
-    basis: dict[int, int] = {}
-    chosen = []
-    for i, row in enumerate(g.rows):
-        cur = row
-        while cur:
-            hb = cur.bit_length() - 1
-            other = basis.get(hb)
-            if other is None:
-                basis[hb] = cur
-                chosen.append(i)
-                break
-            cur ^= other
-    return chosen
-
-
 def _solution_space(constraints: list[tuple[int, int]], dim: int) -> tuple[int, list[int]] | None:
     """Solve {pairing(x, v_s) = c_s} over packed 2k-vectors x.
 
@@ -58,52 +41,12 @@ def _solution_space(constraints: list[tuple[int, int]], dim: int) -> tuple[int, 
     """
     k = dim // 2
     mask = (1 << k) - 1
-
-    def swap(v: int) -> int:
-        return ((v & mask) << k) | (v >> k)
-
-    # Echelon over the functionals, tracking an augmented rhs bit.
-    rows = []
-    for v, c in constraints:
-        rows.append((swap(v) << 1) | (c & 1))
-    basis: list[tuple[int, int]] = []  # (pivot bit index in shifted rep, row)
-    for row in rows:
-        for p, b in basis:
-            if (row >> p) & 1:
-                row ^= b
-        if row >> 1:
-            p = (row >> 1 & -(row >> 1)).bit_length()  # lowest func bit, +1 offset
-            basis = [(q, (b ^ row if (b >> p) & 1 else b)) for q, b in basis]
-            basis.append((p, row))
-            basis.sort()
-        elif row & 1:
-            return None
-    x = 0
-    pivots = set()
-    for p, b in basis:
-        pivots.add(p - 1)
-        if b & 1:
-            x |= 1 << (p - 1)
-    kernel = []
-    for free in range(dim):
-        if free in pivots:
-            continue
-        vec = 1 << free
-        for p, b in basis:
-            if (b >> (free + 1)) & 1:
-                vec |= 1 << (p - 1)
-        kernel.append(vec)
-    return x, kernel
-
-
-def _independent_of(vec: int, chosen_echelon: dict[int, int]) -> bool:
-    cur = vec
-    while cur:
-        hb = cur.bit_length() - 1
-        if hb not in chosen_echelon:
-            return True
-        cur ^= chosen_echelon[hb]
-    return False
+    functionals = [((v & mask) << k) | (v >> k) for v, _ in constraints]
+    particular = solve_affine(functionals, [c for _, c in constraints], dim)
+    if particular is None:
+        return None
+    kernel = null_space_basis(BitMatrix(dim, tuple(functionals)))
+    return particular.bits, [v.bits for v in kernel]
 
 
 @dataclass
@@ -118,7 +61,7 @@ def _basis_assignments(
     dim = 2 * k
     r = len(basis_idx)
 
-    def descend(chosen: list[int], echelon: dict[int, int]) -> Iterator[list[int]]:
+    def descend(chosen: list[int]) -> Iterator[list[int]]:
         state.nodes += 1
         if state.nodes > budget:
             raise SynthesisBudgetError(f"budget of {budget} nodes exhausted")
@@ -137,22 +80,13 @@ def _basis_assignments(
         candidates = [particular]
         for kv in kernel:
             candidates = candidates + [c ^ kv for c in candidates]
+        span = Echelon(chosen)
         for cand in sorted(candidates):
-            if cand == 0:
-                continue  # basis rows are nonzero; the zero vector cannot respect them
-            if not _independent_of(cand, echelon):
-                continue
-            new_echelon = dict(echelon)
-            cur = cand
-            while cur:
-                hb = cur.bit_length() - 1
-                if hb not in new_echelon:
-                    new_echelon[hb] = cur
-                    break
-                cur ^= new_echelon[hb]
-            yield from descend(chosen + [cand], new_echelon)
+            # Basis rows are independent, so their vectors must be too (and nonzero).
+            if span.reduce(cand):
+                yield from descend(chosen + [cand])
 
-    yield from descend([], {})
+    yield from descend([])
 
 
 def _extend_assignment(
@@ -188,10 +122,11 @@ def enumerate_assignments(
     problems = validate_gram(h, g)
     if problems:
         raise ValueError("not a valid Gram matrix: " + "; ".join(problems[:3]))
-    r = rank(g)
+    span = Echelon()
+    basis_idx = [i for i, row in enumerate(g.rows) if span.insert(row)]
+    r = len(basis_idx)
     if 2 * k < r:
         raise RankObstructionError(f"rank {r} needs at least {(r + 1) // 2} qubits, got {k}")
-    basis_idx = _greedy_row_basis(g)
     sub = BitMatrix.from_rows(
         [[g.entry(i, j) for j in basis_idx] for i in basis_idx]
     )

@@ -23,13 +23,13 @@ from .gf2 import (
     BitVector,
     CosetTooLargeError,
     DEFAULT_COSET_CAP,
+    Echelon,
     coset_min_weight,
     row_combination,
-    _echelon,
-    _reduce_by,
-    _span_elements,
+    _rank_rows,
+    _span_blocks,
 )
-from .gram import GramSpace, NoMagicGramError, valid_gram_space, _rank_rows
+from .gram import GramSpace, NoMagicGramError, valid_gram_space
 from .hypergraph import Hypergraph, incidence_matrix, is_proper_eulerian
 
 #: Default cap on the brute-force vertex count (2^m assignments).
@@ -221,14 +221,14 @@ class HypergraphBoundReport:
         return doc
 
 
-def _synthesized_rep(h: Hypergraph, g: BitMatrix, echelon_basis) -> int:
+def _synthesized_rep(h: Hypergraph, g: BitMatrix, row_space: Echelon) -> int:
     """Coset representative of the context signs of one assignment realizing g."""
-    k = _rank_rows(list(g.rows)) // 2
-    return _reduce_by(assignment_from_gram(h, g, k).context_signs.bits, echelon_basis)
+    k = _rank_rows(g.rows) // 2
+    return row_space.reduce(assignment_from_gram(h, g, k).context_signs.bits)
 
 
 def _pauli_sign_cosets(
-    h: Hypergraph, space: GramSpace, echelon_basis, gram_cap: int
+    h: Hypergraph, space: GramSpace, row_space: Echelon, gram_cap: int
 ) -> tuple[dict[int, None], int, bool]:
     """Sign cosets of magic Pauli assignments, from d+1 syntheses.
 
@@ -238,8 +238,8 @@ def _pauli_sign_cosets(
     ``gram_cap`` only the offset and its d single-basis shifts are covered.
     """
     offset = space.magic_offset
-    r0 = _synthesized_rep(h, offset, echelon_basis)
-    deltas = [_synthesized_rep(h, offset ^ b, echelon_basis) ^ r0 for b in space.nonmagic_basis]
+    r0 = _synthesized_rep(h, offset, row_space)
+    deltas = [_synthesized_rep(h, offset ^ b, row_space) ^ r0 for b in space.nonmagic_basis]
     d = len(deltas)
     reps = {r0: None}
     if d > gram_cap:
@@ -253,16 +253,16 @@ def _pauli_sign_cosets(
     return reps, 1 << d, True
 
 
-def _coset_weights(echelon_basis, reps, n: int, coset_cap: int) -> tuple[list[int], bool]:
+def _coset_weights(row_space: Echelon, reps, n: int, coset_cap: int) -> tuple[list[int], bool]:
     """Minimum weight of every coset rep + row(M), and whether all are exact.
 
     Several cosets of a small row space share one numpy enumeration of it;
     otherwise each coset is searched on its own, degrading to its best
     upper bound past ``coset_cap``.
     """
-    rows = [b for _, b in echelon_basis]
+    rows = list(row_space.pivots.values())
     if len(reps) > 1 and len(rows) <= min(coset_cap, _NUMPY_ENUM_DIM) and n <= 64:
-        elems = _span_elements(rows)
+        elems = next(_span_blocks([0], [[row] for row in rows], len(rows))).ravel()
         return [int(np.bitwise_count(elems ^ np.uint64(rep)).min()) for rep in reps], True
     row_vecs = [BitVector(n, row) for row in rows]
     weights, exact = [], True
@@ -315,7 +315,7 @@ def hypergraph_bound(
         raise ValueError(f"hypergraph is not proper Eulerian: {diag}")
     n = h.num_edges
     M = incidence_matrix(h)
-    ech = _echelon(M.rows)
+    ech = Echelon(M.rows)
     grams_checked = None
 
     space = valid_gram_space(h)
@@ -327,10 +327,8 @@ def hypergraph_bound(
     else:
         exact = True
         reps = {}
-        r = len(ech)
-        codim = n - r
-        pivots = {p for p, _ in ech}
-        free_cols = [j for j in range(n) if j not in pivots]
+        codim = n - ech.rank
+        free_cols = [j for j in range(n) if j not in ech.pivots]
         if codim - 1 > gram_cap:
             raise ValueError(
                 f"odd-coset enumeration needs 2^{codim - 1} cosets, over cap {gram_cap}"

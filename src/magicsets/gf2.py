@@ -3,12 +3,21 @@
 Vectors are stored as Python ints with bit ``i`` holding coordinate ``i``
 (coordinate 0 is the lowest bit).  All operations are pure and
 deterministic; values are immutable after construction.
+
+Elimination runs through one kernel, ``Echelon``, whose pivot is always
+a row's lowest set bit.  The convention is load-bearing: it fixes the
+reduced echelon form, hence the null-space basis of ``null_space_basis``
+(the valid Gram basis, and through it every magic witness, synthesized
+assignment and maximizing sign pattern the CLI prints), the particular
+solution of ``solve_affine`` and the coset representatives and search
+order of ``coset_min_weight``.  Only the rank does not depend on it, so
+``rank`` pivots on the highest bit, which is faster in Python.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -161,101 +170,149 @@ class BitMatrix:
         return BitVector(len(self.rows), bits)
 
 
-def _echelon(rows: Iterable[int]) -> list[tuple[int, int]]:
-    """Reduced echelon basis of the span as (pivot_col, row) pairs.
+class Echelon:
+    """Echelon basis of a growing span over GF(2), one row per pivot.
 
-    Pivots are the lowest set bits, scanned in increasing column order;
-    the output is sorted by pivot column and fully reduced.
+    ``pivots`` maps each pivot column to a stored row whose lowest set bit
+    is that column.  Stored rows are only semi-reduced (zero on the pivots
+    that existed when they were inserted); ``rref`` finishes the reduction.
     """
-    basis: list[tuple[int, int]] = []  # (pivot, row), kept sorted by pivot
+
+    __slots__ = ("pivots", "_mask")
+
+    def __init__(self, rows: Iterable[int] = ()):
+        self.pivots: dict[int, int] = {}
+        self._mask = 0  # one bit per pivot column
+        for row in rows:
+            self.insert(row)
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def reduce(self, row: int) -> int:
+        """The unique element of row + span that is zero on every pivot column."""
+        pivots, mask = self.pivots, self._mask
+        hit = row & mask
+        while hit:
+            # A pivot row touches no column below its pivot, so pivots clear upward.
+            row ^= pivots[(hit & -hit).bit_length() - 1]
+            hit = row & mask
+        return row
+
+    def insert(self, row: int) -> bool:
+        """Add row to the span; True iff it is independent of the rows before."""
+        row = self.reduce(row)
+        if not row:
+            return False
+        low = row & -row
+        self.pivots[low.bit_length() - 1] = row
+        self._mask |= low
+        return True
+
+    def rref(self) -> list[tuple[int, int]]:
+        """Reduced row echelon basis as (pivot, row) pairs by ascending pivot.
+
+        Each row is zero on every other pivot column, which makes the basis
+        unique for the span.
+        """
+        reduced: dict[int, int] = {}
+        for p in sorted(self.pivots, reverse=True):
+            row = self.pivots[p]
+            # Pivot bits set in row lie above p, where rows are already reduced.
+            hit = (row ^ (1 << p)) & self._mask
+            while hit:
+                low = hit & -hit
+                row ^= reduced[low.bit_length() - 1]
+                hit ^= low
+            reduced[p] = row
+        return sorted(reduced.items())
+
+
+def _rank_rows(rows: Iterable[int]) -> int:
+    """GF(2) rank of int-bitmask rows; tight loop used by enumerations.
+
+    Pivots on the highest set bit, which the rank does not depend on and
+    which needs no lowest-bit extraction per step.
+    """
+    basis: dict[int, int] = {}  # highest set bit -> reduced row
     for row in rows:
-        for pivot, b in basis:
-            if (row >> pivot) & 1:
-                row ^= b
-        if row:
-            p = (row & -row).bit_length() - 1
-            basis = [(q, (b ^ row if (b >> p) & 1 else b)) for q, b in basis]
-            basis.append((p, row))
-            basis.sort()
-    return basis
-
-
-def _reduce_by(row: int, basis: list[tuple[int, int]]) -> int:
-    for pivot, b in basis:
-        if (row >> pivot) & 1:
-            row ^= b
-    return row
+        while row:
+            hb = row.bit_length() - 1
+            other = basis.get(hb)
+            if other is None:
+                basis[hb] = row
+                break
+            row ^= other
+    return len(basis)
 
 
 def rank(m: BitMatrix) -> int:
     """GF(2) rank, invariant under row/column permutations."""
-    return len(_echelon(m.rows))
+    return _rank_rows(m.rows)
 
 
 def null_space_basis(m: BitMatrix) -> list[BitVector]:
-    """Basis of {v : m @ v = 0}; its size is cols - rank(m)."""
-    basis = _echelon(m.rows)
-    pivots = [p for p, _ in basis]
-    pivot_set = set(pivots)
-    out = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        vec = 1 << free
-        # Back-substitute: pivot coordinate of each basis row balances column `free`.
-        for p, b in basis:
-            if (b >> free) & 1:
-                vec |= 1 << p
-        out.append(BitVector(m.cols, vec))
-    return out
+    """Basis of {v : m @ v = 0}; its size is cols - rank(m).
+
+    One vector per free column, in ascending order: the free bit plus the
+    pivot bits of the reduced rows that contain it.
+    """
+    ech = Echelon(m.rows)
+    vecs = {free: 1 << free for free in range(m.cols) if free not in ech.pivots}
+    for p, row in ech.rref():
+        rest = row ^ (1 << p)  # free columns only
+        while rest:
+            low = rest & -rest
+            vecs[low.bit_length() - 1] |= 1 << p
+            rest ^= low
+    return [BitVector(m.cols, v) for v in vecs.values()]
 
 
 def in_row_space(m: BitMatrix, v: BitVector) -> bool:
     """True iff v is a GF(2) combination of the rows of m."""
     if v.length != m.cols:
         raise ValueError(f"length mismatch: vector {v.length}, matrix cols {m.cols}")
-    return _reduce_by(v.bits, _echelon(m.rows)) == 0
+    return Echelon(m.rows).reduce(v.bits) == 0
 
 
 def row_combination(vectors: Sequence[int], target: int) -> int | None:
     """Coefficient mask c with XOR of {vectors[i] : bit i of c} == target.
 
-    Returns None when target is outside the span.  Deterministic: the
-    combination produced by echelon reduction of the inputs in order.
+    Returns None when target is outside the span.  Otherwise c is the
+    unique such mask supported on the greedy independent prefix: the
+    inputs that are independent of the inputs before them.
     """
-    basis: list[tuple[int, int, int]] = []  # (pivot, row, combo)
-    for i, row in enumerate(vectors):
-        combo = 1 << i
-        for pivot, b, bc in basis:
-            if (row >> pivot) & 1:
-                row ^= b
-                combo ^= bc
-        if row:
-            p = (row & -row).bit_length() - 1
-            basis.append((p, row, combo))
-            basis.sort()
-    t, tc = target, 0
-    for pivot, b, bc in basis:
-        if (t >> pivot) & 1:
-            t ^= b
-            tc ^= bc
-    return tc if t == 0 else None
+    # Bit i of the augmented columns above ``width`` records vectors[i].
+    width = max([target.bit_length()] + [v.bit_length() for v in vectors])
+    value = (1 << width) - 1
+    ech = Echelon()
+    for i, v in enumerate(vectors):
+        row = ech.reduce(v | (1 << (width + i)))
+        if row & value:
+            ech.insert(row)
+    row = ech.reduce(target)
+    return None if row & value else row >> width
 
 
 def solve_affine(equations: Sequence[int], rhs: Sequence[int], num_vars: int) -> BitVector | None:
     """One solution x of the GF(2) system {eq_i . x = rhs_i}, or None.
 
-    Each equation is an int bitmask over the variables.  The solution
-    returned sets all free variables to zero.
+    Each equation is an int bitmask over the ``num_vars`` variables.  The
+    solution returned sets all free variables to zero.
     """
     if len(equations) != len(rhs):
         raise ValueError("ragged system")
+    if any(eq >> num_vars for eq in equations):
+        raise ValueError(f"an equation has bits outside its {num_vars} variables")
     # Augment with the rhs in an extra column.
-    aug = _echelon(eq | ((b & 1) << num_vars) for eq, b in zip(equations, rhs))
-    x = 0
-    for pivot, row in aug:
-        if pivot == num_vars:
+    ech = Echelon()
+    for eq, b in zip(equations, rhs):
+        ech.insert(eq | ((b & 1) << num_vars))
+        if num_vars in ech.pivots:
             return None  # 0 = 1 row: inconsistent
+    x = 0
+    for pivot, row in ech.rref():
         if (row >> num_vars) & 1:
             x |= 1 << pivot
     return BitVector(num_vars, x)
@@ -266,18 +323,30 @@ def _lex_key(bits: int, length: int) -> tuple[int, ...]:
     return tuple((bits >> i) & 1 for i in range(length))
 
 
-def _span_elements(basis_rows: Sequence[int], offset: int = 0) -> np.ndarray:
-    """All 2^len(basis_rows) elements of offset + span(basis_rows) as uint64
-    (vector length <= 64 only), by XOR doubling."""
-    elems = np.full(1, offset, dtype=np.uint64)
-    for b in basis_rows:
-        elems = np.concatenate([elems, elems ^ np.uint64(b)])
-    return elems
+def _span_blocks(
+    offset: Sequence[int], basis: Sequence[Sequence[int]], low: int
+) -> Iterator[np.ndarray]:
+    """All elements of offset + span(basis) as (2^low, width) uint64 blocks.
+
+    Vectors are ``width = len(offset)`` words of at most 64 bits.  Element i
+    of the concatenated blocks is offset ^ XOR{basis[l] : bit l of i}, so
+    blocks come in binary order: XOR doubling over the first ``low`` basis
+    vectors builds one block, which each element of the span of the
+    remaining vectors shifts in turn.
+    """
+    vecs = np.array(basis, dtype=np.uint64).reshape(len(basis), len(offset))
+    tables = [np.array([offset], dtype=np.uint64), np.zeros((1, len(offset)), dtype=np.uint64)]
+    for l, b in enumerate(vecs):
+        t = int(l >= low)
+        tables[t] = np.concatenate([tables[t], tables[t] ^ b])
+    block, shifts = tables
+    for shift in shifts:
+        yield block ^ shift
 
 
 def _min_weight_numpy(basis_rows: list[int], offset: int, length: int) -> tuple[int, int]:
     """Enumerate the full coset with numpy popcounts (length <= 64 only)."""
-    elems = _span_elements(basis_rows, offset)
+    elems = next(_span_blocks([offset], [[b] for b in basis_rows], len(basis_rows))).ravel()
     weights = np.bitwise_count(elems)
     w = int(weights.min())
     candidates = elems[weights == w]
@@ -320,24 +389,26 @@ def coset_min_weight(
     """Minimum Hamming weight over the affine space offset + span(row_basis).
 
     Returns (weight, witness) where the witness is the lexicographically
-    smallest coordinate vector among the minimum-weight elements.  Raises
-    CosetTooLargeError when the span dimension exceeds ``cap``, attaching
-    the best upper bound found.
+    smallest coordinate vector among the minimum-weight elements.  When
+    offset lies in the span the answer is an exact 0 at any dimension;
+    otherwise raises CosetTooLargeError when the span dimension exceeds
+    ``cap``, attaching the best upper bound found.
     """
     length = offset.length
     for v in row_basis:
         if v.length != length:
             raise ValueError("mixed vector lengths")
-    basis = _echelon(v.bits for v in row_basis)
-    dim = len(basis)
-    start = _reduce_by(offset.bits, basis)
+    ech = Echelon(v.bits for v in row_basis)
+    start = ech.reduce(offset.bits)
+    if start == 0:
+        return 0, BitVector(length, 0)
+    dim = ech.rank
     if dim > cap:
         # Cheap upper bound: the reduced offset (often far below the raw one).
         w = min(offset.bits.bit_count(), start.bit_count())
         witness = start if start.bit_count() <= offset.bits.bit_count() else offset.bits
         raise CosetTooLargeError(dim, cap, w, BitVector(length, witness))
-    if offset.bits == 0 or start == 0:
-        return 0, BitVector(length, 0)
+    basis = ech.rref()
     if dim <= _NUMPY_ENUM_DIM and length <= 64:
         w, v = _min_weight_numpy([b for _, b in basis], start, length)
     else:
@@ -350,6 +421,7 @@ __all__ = [
     "BitMatrix",
     "CosetTooLargeError",
     "DEFAULT_COSET_CAP",
+    "Echelon",
     "rank",
     "null_space_basis",
     "in_row_space",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .gf2 import BitMatrix, BitVector, null_space_basis, solve_affine
+from .gf2 import BitMatrix, _rank_rows, null_space_basis, solve_affine
 from .hypergraph import Hypergraph, is_proper_eulerian
 
 
@@ -230,20 +230,6 @@ def magic_affine_space(h: Hypergraph) -> tuple[BitMatrix, tuple[BitMatrix, ...]]
     if space.magic_offset is None:
         return None
     return space.magic_offset, space.nonmagic_basis
-
-
-def _rank_rows(rows: list[int]) -> int:
-    """GF(2) rank of int-bitmask rows; tight loop used by enumerations."""
-    basis: dict[int, int] = {}  # highest set bit -> reduced row
-    for row in rows:
-        while row:
-            hb = row.bit_length() - 1
-            other = basis.get(hb)
-            if other is None:
-                basis[hb] = row
-                break
-            row ^= other
-    return len(basis)
 
 
 def _gray_enumerate(offset_rows: list[int], basis_rows: list[list[int]]):

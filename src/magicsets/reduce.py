@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .gf2 import BitMatrix, null_space_basis, solve_affine
+from .gf2 import BitMatrix, _span_blocks, null_space_basis, solve_affine
 from .gram import (
     NoMagicGramError,
     _defect_systems,
@@ -306,6 +306,20 @@ class _Budget:
         return self.deadline is not None and time.monotonic() > self.deadline
 
 
+#: Matrices per scanned block: 2^_LOW_BLOCK.
+_LOW_BLOCK = 14
+
+#: Largest magic space, in matrix rows (2^d * m), decided by a block scan
+#: rather than by defect solves.
+_SCAN_ROWS = 1 << 25
+
+
+def _reducible_rows(block: np.ndarray) -> np.ndarray:
+    """Per matrix of a (count, m) uint64 block: has a zero row or two equal rows."""
+    srt = np.sort(block, axis=1)
+    return (srt[:, 0] == 0) | (srt[:, 1:] == srt[:, :-1]).any(axis=1)
+
+
 def _reducible_signatures(h: Hypergraph, offset: BitMatrix, nonmagic, gram_cap: int, stats: dict):
     """Yield one (signature, matrix) per distinct reduction outcome.
 
@@ -330,28 +344,12 @@ def _reducible_signatures(h: Hypergraph, offset: BitMatrix, nonmagic, gram_cap: 
         return (tuple(zero), tuple(sorted(tuple(c) for c in classes.values())))
 
     if d <= gram_cap:
-        # Batched scan: rows fit in uint64 for every bundled instance,
-        # so whole blocks of candidate matrices are built by XOR doubling and
-        # reducibility (zero row / equal rows) is detected vectorized.
+        # Batched scan: rows fit in uint64 for every bundled instance, so
+        # blocks of candidate matrices are screened for reducibility together.
         if m <= 64:
-            low = min(d, 14)
-            low_block = np.zeros((1, m), dtype=np.uint64)
-            low_block[0] = np.array(offset.rows, dtype=np.uint64)
-            for l in range(low):
-                low_block = np.concatenate(
-                    [low_block, low_block ^ np.array(nonmagic[l].rows, dtype=np.uint64)]
-                )
-            for high in range(1 << (d - low)):
-                shift = np.zeros(m, dtype=np.uint64)
-                for l in range(low, d):
-                    if (high >> (l - low)) & 1:
-                        shift ^= np.array(nonmagic[l].rows, dtype=np.uint64)
-                block = low_block ^ shift
+            for block in _span_blocks(offset.rows, [b.rows for b in nonmagic], _LOW_BLOCK):
                 stats["inspected"] += block.shape[0]
-                zero = (block == 0).any(axis=1)
-                srt = np.sort(block, axis=1)
-                dup = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
-                for idx in np.nonzero(zero | dup)[0]:
+                for idx in np.nonzero(_reducible_rows(block))[0]:
                     rows = tuple(int(r) for r in block[idx])
                     sig = signature(rows)
                     if sig is not None and sig not in seen:
@@ -395,23 +393,15 @@ def _reducible_signatures(h: Hypergraph, offset: BitMatrix, nonmagic, gram_cap: 
 def _has_reducible_magic_matrix(offset: BitMatrix, nonmagic, gram_cap: int) -> bool:
     """True iff some matrix in offset + span(nonmagic) has a zero or repeated row.
 
-    Batched sweep when the space is small enough, affine defect solves
-    otherwise (both are exact answers to the existence question).
+    A block scan when the space holds at most ``_SCAN_ROWS`` matrix rows,
+    affine defect solves otherwise (both are exact answers to the
+    existence question).
     """
     d = len(nonmagic)
     m = offset.num_rows
-    if m <= 64 and d <= gram_cap:
-        block = np.zeros((1, m), dtype=np.uint64)
-        block[0] = np.array(offset.rows, dtype=np.uint64)
-        for l in range(d):
-            block = np.concatenate([block, block ^ np.array(nonmagic[l].rows, dtype=np.uint64)])
-            if block.nbytes > 1 << 27:
-                break
-        if block.shape[0] == 1 << d:
-            if (block == 0).any():
-                return True
-            srt = np.sort(block, axis=1)
-            return bool((srt[:, 1:] == srt[:, :-1]).any())
+    if m <= 64 and d <= gram_cap and m << d <= _SCAN_ROWS:
+        blocks = _span_blocks(offset.rows, [b.rows for b in nonmagic], _LOW_BLOCK)
+        return any(_reducible_rows(block).any() for block in blocks)
     return any(
         solve_affine(eqs, rhs, d) is not None
         for _, eqs, rhs in _defect_systems(offset, nonmagic)

@@ -21,15 +21,14 @@ from magicsets.gf2 import (
     BitMatrix,
     BitVector,
     CosetTooLargeError,
-    _echelon,
-    _reduce_by,
+    Echelon,
+    _rank_rows,
     coset_min_weight,
     null_space_basis,
 )
 from magicsets.gram import (
     NoMagicGramError,
     _gray_enumerate,
-    _rank_rows,
     is_reduced,
     magic_parity,
     valid_gram_space,
@@ -61,14 +60,14 @@ def sweep_bound_oracle(h: Hypergraph) -> HypergraphBoundReport:
     """
     n = h.num_edges
     M = incidence_matrix(h)
-    ech = _echelon(M.rows)
+    row_space = Echelon(M.rows)
     space = valid_gram_space(h)
     reps: dict[int, None] = {}
     basis_rows = [list(b.rows) for b in space.nonmagic_basis]
     for _, rows in _gray_enumerate(list(space.magic_offset.rows), basis_rows):
         g = BitMatrix(h.vertex_count, tuple(rows))
         a = assignment_from_gram(h, g, _rank_rows(list(rows)) // 2)
-        reps.setdefault(_reduce_by(a.context_signs.bits, ech))
+        reps.setdefault(row_space.reduce(a.context_signs.bits))
     row_vecs = [BitVector(n, r) for r in M.rows]
     best_w = best_rep = None
     exact = True
@@ -192,6 +191,22 @@ class TestNoncontextualBound:
         h = square.hypergraph
         rep = noncontextual_bound(h, BitVector.zero(h.num_edges))
         assert rep.b == h.num_edges
+        assert not rep.magic_signs
+
+    def test_hd_zero_signs_exact(self, entries):
+        # HD's row space has rank 36, above DEFAULT_COSET_CAP; an offset in
+        # the row space still has an exact minimum weight of 0.
+        h = entries["HD"].hypergraph
+        rep = noncontextual_bound(h, BitVector.zero(h.num_edges))
+        assert (rep.b, rep.Q, rep.w_min, rep.exact) == (45, 45, 0, True)
+
+    def test_hd_row_space_signs_exact(self, entries):
+        h = entries["HD"].hypergraph
+        M = incidence_matrix(h)
+        c = BitVector(h.num_edges, M.rows[0] ^ M.rows[1] ^ M.rows[7])
+        assert c.weight() > 0
+        rep = noncontextual_bound(h, c)
+        assert (rep.b, rep.w_min, rep.exact) == (h.num_edges, 0, True)
         assert not rep.magic_signs
 
     def test_even_weight_flagged(self, square):

@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from magicsets import datasets, gram
+from magicsets.assign import _solution_space
 from magicsets.gf2 import (
     BitMatrix,
     BitVector,
     CosetTooLargeError,
+    Echelon,
     coset_min_weight,
     in_row_space,
     null_space_basis,
@@ -18,8 +21,145 @@ from magicsets.gf2 import (
     solve_affine,
     _min_weight_dfs,
     _min_weight_numpy,
-    _echelon,
+    _span_blocks,
 )
+from magicsets.reduce import _has_reducible_magic_matrix
+
+
+def _echelon(rows):
+    """Reduced echelon basis of the span as (pivot_col, row) pairs.
+
+    The elimination the Echelon kernel replaced, kept as its oracle: pivots
+    are the lowest set bits, and every insert back-reduces and re-sorts
+    the whole basis.
+    """
+    basis: list[tuple[int, int]] = []  # (pivot, row), kept sorted by pivot
+    for row in rows:
+        for pivot, b in basis:
+            if (row >> pivot) & 1:
+                row ^= b
+        if row:
+            p = (row & -row).bit_length() - 1
+            basis = [(q, (b ^ row if (b >> p) & 1 else b)) for q, b in basis]
+            basis.append((p, row))
+            basis.sort()
+    return basis
+
+
+def _reduce_by(row, basis):
+    for pivot, b in basis:
+        if (row >> pivot) & 1:
+            row ^= b
+    return row
+
+
+def null_space_oracle(rows, cols):
+    basis = _echelon(rows)
+    pivots = {p for p, _ in basis}
+    out = []
+    for free in range(cols):
+        if free in pivots:
+            continue
+        vec = 1 << free
+        for p, b in basis:
+            if (b >> free) & 1:
+                vec |= 1 << p
+        out.append(vec)
+    return out
+
+
+def solve_affine_oracle(equations, rhs, num_vars):
+    aug = _echelon(eq | ((b & 1) << num_vars) for eq, b in zip(equations, rhs))
+    x = 0
+    for pivot, row in aug:
+        if pivot == num_vars:
+            return None
+        if (row >> num_vars) & 1:
+            x |= 1 << pivot
+    return x
+
+
+def row_combination_oracle(vectors, target):
+    """Elimination with a tracked combination per basis row."""
+    basis: list[tuple[int, int, int]] = []  # (pivot, row, combo)
+    for i, row in enumerate(vectors):
+        combo = 1 << i
+        for pivot, b, bc in basis:
+            if (row >> pivot) & 1:
+                row ^= b
+                combo ^= bc
+        if row:
+            p = (row & -row).bit_length() - 1
+            basis.append((p, row, combo))
+            basis.sort()
+    t, tc = target, 0
+    for pivot, b, bc in basis:
+        if (t >> pivot) & 1:
+            t ^= b
+            tc ^= bc
+    return tc if t == 0 else None
+
+
+def solution_space_oracle(constraints, dim):
+    """assign's former hand-written echelon over the swapped functionals."""
+    k = dim // 2
+    mask = (1 << k) - 1
+
+    def swap(v: int) -> int:
+        return ((v & mask) << k) | (v >> k)
+
+    rows = []
+    for v, c in constraints:
+        rows.append((swap(v) << 1) | (c & 1))
+    basis: list[tuple[int, int]] = []  # (pivot bit index in shifted rep, row)
+    for row in rows:
+        for p, b in basis:
+            if (row >> p) & 1:
+                row ^= b
+        if row >> 1:
+            p = (row >> 1 & -(row >> 1)).bit_length()  # lowest func bit, +1 offset
+            basis = [(q, (b ^ row if (b >> p) & 1 else b)) for q, b in basis]
+            basis.append((p, row))
+            basis.sort()
+        elif row & 1:
+            return None
+    x = 0
+    pivots = set()
+    for p, b in basis:
+        pivots.add(p - 1)
+        if b & 1:
+            x |= 1 << (p - 1)
+    kernel = []
+    for free in range(dim):
+        if free in pivots:
+            continue
+        vec = 1 << free
+        for p, b in basis:
+            if (b >> (free + 1)) & 1:
+                vec |= 1 << (p - 1)
+        kernel.append(vec)
+    return x, kernel
+
+
+@st.composite
+def row_systems(draw, max_width=24, max_rows=12):
+    """(width, rows): random rows with XOR combinations of earlier rows,
+    and repeats or zeros, mixed in."""
+    width = draw(st.integers(1, max_width))
+    rows: list[int] = []
+    for _ in range(draw(st.integers(0, max_rows))):
+        kind = draw(st.sampled_from(["fresh", "fresh", "combination", "zero"]))
+        if kind == "combination" and rows:
+            picks = draw(st.lists(st.sampled_from(rows), min_size=1, max_size=4))
+            row = 0
+            for r in picks:
+                row ^= r
+        elif kind == "zero":
+            row = 0
+        else:
+            row = draw(st.integers(0, (1 << width) - 1))
+        rows.append(row)
+    return width, rows
 
 
 def bm(rows):
@@ -122,6 +262,13 @@ class TestSolveAffine:
     def test_inconsistent(self):
         assert solve_affine([0b1, 0b1], [0, 1], 1) is None
 
+    def test_equation_wider_than_num_vars_rejected(self):
+        # Bit 2 would otherwise be read as the rhs column of a 2-variable system.
+        with pytest.raises(ValueError):
+            solve_affine([0b100], [0], 2)
+        with pytest.raises(ValueError):
+            solve_affine([-1], [0], 2)
+
 
 def naive_coset_min(basis_bits: list[int], offset: int, length: int) -> tuple[int, int]:
     """Independent re-enumeration of the whole coset, kept deliberately dumb."""
@@ -148,7 +295,7 @@ class TestCosetMinWeight:
 
     def test_square_incidence_row_space(self, square):
         from magicsets.hypergraph import incidence_matrix
-
+        
         h = square.hypergraph
         M = incidence_matrix(h)
         rows = [BitVector(h.num_edges, r) for r in M.rows]
@@ -241,12 +388,18 @@ class TestCosetMinWeight:
         w, _ = coset_min_weight([BitVector(n, b) for b in basis], BitVector(n, offset))
         assert w % 2 == 1
 
+    def test_in_span_offset_past_cap_is_exact(self):
+        n = 40
+        basis = [BitVector(n, 0b11 << i) for i in range(0, 35)]
+        offset = BitVector(n, (0b11 << 3) ^ (0b11 << 20))
+        assert coset_min_weight(basis, offset, cap=30) == (0, BitVector.zero(n))
+
     def test_dfs_matches_numpy(self):
         rng = random.Random(29)
         for _ in range(30):
             n = rng.randint(6, 24)
             dim = rng.randint(1, 10)
-            basis = _echelon(rng.getrandbits(n) for _ in range(dim))
+            basis = Echelon(rng.getrandbits(n) for _ in range(dim)).rref()
             if not basis:
                 continue
             offset = rng.getrandbits(n)
@@ -267,3 +420,117 @@ class TestCosetMinWeight:
     def test_mixed_lengths_rejected(self):
         with pytest.raises(ValueError):
             coset_min_weight([bv(1, 0)], bv(1, 0, 0))
+
+
+class TestEchelonAgainstOracles:
+    """The Echelon kernel and its users against the eliminations they replaced."""
+
+    @given(row_systems())
+    def test_rref_and_rank(self, system):
+        width, rows = system
+        ech = Echelon()
+        grew = [ech.insert(row) for row in rows]
+        assert ech.rref() == _echelon(rows)
+        assert grew == [len(_echelon(rows[: i + 1])) > len(_echelon(rows[:i])) for i in range(len(rows))]
+        assert ech.rank == rank(BitMatrix(width, tuple(rows))) == len(_echelon(rows))
+
+    @given(row_systems(), st.data())
+    def test_coset_reduction(self, system, data):
+        width, rows = system
+        target = data.draw(st.integers(0, (1 << width) - 1))
+        reduced = Echelon(rows).reduce(target)
+        assert reduced == _reduce_by(target, _echelon(rows))
+        assert in_row_space(BitMatrix(width, tuple(rows)), BitVector(width, target)) == (reduced == 0)
+
+    @given(row_systems())
+    def test_null_space_basis(self, system):
+        width, rows = system
+        kernel = null_space_basis(BitMatrix(width, tuple(rows)))
+        assert [v.bits for v in kernel] == null_space_oracle(rows, width)
+
+    @given(row_systems(), st.data())
+    def test_solve_affine(self, system, data):
+        width, rows = system
+        rhs = data.draw(st.lists(st.integers(0, 1), min_size=len(rows), max_size=len(rows)))
+        x = solve_affine(rows, rhs, width)
+        assert (None if x is None else x.bits) == solve_affine_oracle(rows, rhs, width)
+
+    @given(row_systems(), st.data())
+    def test_row_combination(self, system, data):
+        width, rows = system
+        if data.draw(st.booleans()) or not rows:
+            target = data.draw(st.integers(0, (1 << width) - 1))
+        else:
+            target = 0
+            for r in data.draw(st.lists(st.sampled_from(rows), max_size=5)):
+                target ^= r
+        assert row_combination(rows, target) == row_combination_oracle(rows, target)
+
+    @given(st.integers(1, 4), st.data())
+    def test_solution_space(self, k, data):
+        dim = 2 * k
+        constraints = data.draw(
+            st.lists(st.tuples(st.integers(0, (1 << dim) - 1), st.integers(0, 1)), max_size=dim + 2)
+        )
+        assert _solution_space(constraints, dim) == solution_space_oracle(constraints, dim)
+
+
+@pytest.mark.parametrize("name", datasets.NAMES)
+def test_valid_gram_system_rref_matches_oracle(name, monkeypatch):
+    """Byte-identical RREF and kernel on every bundled valid-Gram system."""
+    systems = []
+
+    def capture(m):
+        systems.append(m)
+        return null_space_basis(m)
+
+    monkeypatch.setattr(gram, "null_space_basis", capture)
+    gram.valid_gram_space(datasets.load(name).hypergraph)
+    (system,) = systems
+    assert Echelon(system.rows).rref() == _echelon(system.rows)
+    assert [v.bits for v in null_space_basis(system)] == null_space_oracle(system.rows, system.cols)
+
+
+class TestSpanBlocks:
+    @pytest.mark.parametrize("low", [0, 1, 3, 5])
+    def test_binary_order(self, low):
+        rng = random.Random(31)
+        width = 3
+        offset = [rng.getrandbits(64) for _ in range(width)]
+        basis = [[rng.getrandbits(64) for _ in range(width)] for _ in range(5)]
+        blocks = list(_span_blocks(offset, basis, low))
+        assert [b.shape for b in blocks] == [(1 << min(low, 5), width)] * (1 << (5 - min(low, 5)))
+        got = [tuple(int(x) for x in row) for b in blocks for row in b]
+        want = []
+        for i in range(1 << 5):
+            v = list(offset)
+            for l in range(5):
+                if (i >> l) & 1:
+                    v = [a ^ b for a, b in zip(v, basis[l])]
+            want.append(tuple(v))
+        assert got == want
+
+    def test_empty_basis(self):
+        (block,) = _span_blocks([7], [], 4)
+        assert block.tolist() == [[7]]
+
+    @pytest.mark.parametrize("d", [16, 17, 18])
+    def test_reducibility_scan_matches_defect_solves(self, entries, d):
+        """HA's magic space truncated to d dimensions: the block scan (cap at
+        d) and the affine defect solves (cap below d) must agree."""
+        space = gram.valid_gram_space(entries["HA"].hypergraph)
+        offset, nonmagic = space.magic_offset, space.nonmagic_basis[:d]
+        scan = _has_reducible_magic_matrix(offset, nonmagic, gram_cap=d)
+        solves = _has_reducible_magic_matrix(offset, nonmagic, gram_cap=d - 1)
+        assert scan == solves
+
+    @pytest.mark.parametrize("name", [n for n in datasets.NAMES if n not in ("HA", "HC")])
+    def test_reducibility_routes_agree_on_bundled(self, entries, name):
+        """Full magic spaces (d <= 14; HA and HC have d = 30 and 26); the
+        minimal structures answer False."""
+        space = gram.valid_gram_space(entries[name].hypergraph)
+        offset, nonmagic = space.magic_offset, space.nonmagic_basis
+        d = len(nonmagic)
+        scan = _has_reducible_magic_matrix(offset, nonmagic, gram_cap=d)
+        assert scan == _has_reducible_magic_matrix(offset, nonmagic, gram_cap=d - 1)
+        assert scan == (not gram.is_minimal(entries[name].hypergraph))
