@@ -19,6 +19,7 @@ import numpy as np
 
 from .gf2 import BitMatrix, _span_blocks, null_space_basis, solve_affine
 from .gram import (
+    GramSpace,
     NoMagicGramError,
     _defect_systems,
     _gray_enumerate,
@@ -219,67 +220,208 @@ def canonical_edges(h: Hypergraph) -> tuple[int, tuple[tuple[int, ...], ...]]:
     return h.vertex_count, tuple(sorted(h.edges))
 
 
-def _bipartite_graph(h: Hypergraph):
-    import networkx as nx
+def _refine(adj, lab: list, cell: list, size: list, pending: list) -> tuple:
+    """Split cells of an ordered partition until it is equitable.
 
-    g = nx.Graph()
-    for v in range(1, h.vertex_count + 1):
-        g.add_node(("v", v), part="v")
-    for j, e in enumerate(h.edges):
-        g.add_node(("e", j), part="e")
-        for v in e:
-            g.add_edge(("v", v), ("e", j))
-    return g
+    The partition is ``lab`` (nodes in cell order), ``cell`` (node -> start
+    of its cell in ``lab``) and ``size`` (cell start -> length).  A cell
+    that splits keeps its range of ``lab``, its fragments ordered by their
+    neighbour count in the splitter, so a cell start is a colour that
+    depends on the graph and the partition, not on the labels.  Splitters
+    come from ``pending``; a split cell queues its fragments, all but the
+    first largest when the cell itself was not queued (counts into it are
+    then already uniform).  Returns the split log (per split: the cell
+    start, then count and size of each fragment), an invariant as well.
+    """
+    trace: list[int] = []
+    stack = list(pending)
+    queued = set(stack)
+    while stack:
+        w = stack.pop()
+        queued.discard(w)
+        count: dict[int, int] = {}
+        get = count.get
+        for x in lab[w : w + size[w]]:
+            for y in adj[x]:
+                count[y] = get(y, 0) + 1
+        touched: dict[int, list[int]] = {}
+        for y in count:
+            s = cell[y]
+            if size[s] > 1:
+                if s in touched:
+                    touched[s].append(y)
+                else:
+                    touched[s] = [y]
+        for s in sorted(touched):
+            sz = size[s]
+            hit = touched[s]
+            groups: dict[int, list[int]] = {}
+            if len(hit) < sz:
+                groups[0] = [y for y in lab[s : s + sz] if y not in count]
+            for y in hit:
+                k = count[y]
+                if k in groups:
+                    groups[k].append(y)
+                else:
+                    groups[k] = [y]
+            if len(groups) == 1:
+                continue
+            trace.append(s)
+            starts = []
+            pos = s
+            for k in sorted(groups):
+                g = groups[k]
+                n = len(g)
+                lab[pos : pos + n] = g
+                for y in g:
+                    cell[y] = pos
+                size[pos] = n
+                starts.append(pos)
+                trace += (k, n)
+                pos += n
+            if s not in queued:
+                starts.remove(max(starts, key=size.__getitem__))
+            for p in starts:
+                if p not in queued:
+                    stack.append(p)
+                    queued.add(p)
+    return tuple(trace)
+
+
+def _orbit_roots(members: list[int], gens: list[list[int]]) -> dict[int, int]:
+    """Orbit representative of each member under the group ``gens`` generate
+    (every generator maps ``members`` onto itself)."""
+    root = {x: x for x in members}
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for g in gens:
+        for x in members:
+            a, b = find(x), find(g[x])
+            if a != b:
+                root[max(a, b)] = min(a, b)
+    return {x: find(x) for x in members}
 
 
 def isomorphism_key(h: Hypergraph) -> tuple:
-    """Fast isomorphism-invariant fingerprint (complete in practice, not provably)."""
-    import networkx as nx
+    """Exact canonical certificate: equal for two hypergraphs iff isomorphic.
 
-    from .hypergraph import degree_profile
+    Works on the incidence graph with vertices and contexts in two colour
+    classes (a vertex repeated inside a context is a repeated incidence).
+    Individualisation-refinement as in McKay & Piperno, "Practical graph
+    isomorphism II" (J. Symb. Comput. 60, 2014): refine to an equitable
+    partition, individualise each vertex of the first smallest non-singleton
+    cell in turn, refine, and recurse down to discrete partitions (leaves).
+    Each leaf relabels the hypergraph; leaves are ordered by their
+    refinement traces, then by the relabelled contexts, and the least is
+    the certificate.  Subtrees whose trace already exceeds the best leaf's
+    are cut.  Two leaves with equal keys give an automorphism; the search
+    then returns to the node where their paths part, and skips every
+    vertex in the orbit of an explored sibling under the automorphisms
+    found so far that fix the current prefix.
+    """
+    m = h.vertex_count
+    n = m + h.num_edges
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for j, e in enumerate(h.edges):
+        for v in e:
+            adj[v - 1].append(m + j)
+            adj[m + j].append(v - 1)
+    lab = list(range(n))
+    cell = [0] * m + [m] * (n - m)
+    size = [0] * n
+    starts = []
+    for s, end in ((0, m), (m, n)):
+        if s < end:
+            size[s] = end - s
+            starts.append(s)
+    root_trace = (_refine(adj, lab, cell, size, starts),)
+    gens: list[list[int]] = []
+    best: list = []  # [traces, contexts, lab, path] of the least leaf
+    first: list = []  # the same for the first leaf
 
-    prof = degree_profile(h)
-    wl = nx.weisfeiler_lehman_graph_hash(_bipartite_graph(h), node_attr="part", iterations=4)
-    return (h.vertex_count, h.num_edges, prof.vertex_degrees, prof.edge_sizes, wl)
+    def leaf_contexts(lab: list[int]) -> tuple:
+        pos = [0] * n
+        for i, x in enumerate(lab):
+            pos[x] = i
+        return tuple(tuple(sorted(pos[y] for y in adj[x])) for x in lab[m:])
+
+    def automorphism(lab: list[int], other: list[int]) -> list[int]:
+        g = [0] * n
+        for x, y in zip(lab, other):
+            g[x] = y
+        return g
+
+    def search(lab, cell, size, traces, path) -> int | None:
+        """Explore one node; an int is the level to return to."""
+        if best and traces > best[0][: len(traces)]:
+            return None
+        t, tsize = -1, n + 1
+        s = 0
+        while s < n:
+            if 1 < size[s] < tsize:
+                t, tsize = s, size[s]
+            s += size[s]
+        if t < 0:
+            contexts = leaf_contexts(lab)
+            if not first:
+                first[:] = best[:] = [traces, contexts, lab, path]
+                return None
+            for other in (first, best):
+                if traces == other[0] and contexts == other[1]:
+                    gens.append(automorphism(lab, other[2]))
+                    level = 0
+                    while path[level] == other[3][level]:
+                        level += 1
+                    return level
+            if (traces, contexts) < (best[0], best[1]):
+                best[:] = [traces, contexts, lab, path]
+            return None
+        level = len(path)
+        explored: list[int] = []
+        for x in lab[t : t + tsize]:
+            if explored:
+                fixing = [g for g in gens if all(g[p] == p for p in path)]
+                roots = _orbit_roots(lab[t : t + tsize], fixing)
+                if roots[x] in {roots[y] for y in explored}:
+                    continue
+            explored.append(x)
+            clab, ccell, csize = lab[:], cell[:], size[:]
+            i = clab.index(x, t)
+            clab[t], clab[i] = x, clab[t]
+            ccell[x] = t
+            csize[t], csize[t + 1] = 1, tsize - 1
+            for y in clab[t + 1 : t + tsize]:
+                ccell[y] = t + 1
+            trace = _refine(adj, clab, ccell, csize, [t])
+            back = search(clab, ccell, csize, traces + (trace,), path + [x])
+            if back is not None and back < level:
+                return back
+        return None
+
+    search(lab, cell, size, root_trace, [])
+    return (m, best[1])
 
 
 def are_isomorphic(a: Hypergraph, b: Hypergraph) -> bool:
-    """Exact hypergraph isomorphism via the colored bipartite incidence graph."""
-    import networkx as nx
-
-    if (a.vertex_count, a.num_edges) != (b.vertex_count, b.num_edges):
-        return False
-    if sorted(len(e) for e in a.edges) != sorted(len(e) for e in b.edges):
-        return False
-    return nx.vf2pp_is_isomorphic(_bipartite_graph(a), _bipartite_graph(b), node_label="part")
-
-
-class _IsoClasses:
-    """Maintains one representative per isomorphism class, first found wins."""
-
-    def __init__(self):
-        self.buckets: dict[tuple, list[Hypergraph]] = {}
-
-    def add(self, h: Hypergraph) -> bool:
-        """Insert h; True when it opened a new class."""
-        key = isomorphism_key(h)
-        bucket = self.buckets.setdefault(key, [])
-        for rep in bucket:
-            if are_isomorphic(h, rep):
-                return False
-        bucket.append(h)
-        return True
-
-    def representatives(self) -> tuple[Hypergraph, ...]:
-        return tuple(h for bucket in self.buckets.values() for h in bucket)
+    """Exact hypergraph isomorphism: equal canonical certificates."""
+    return isomorphism_key(a) == isomorphism_key(b)
 
 
 @dataclass(frozen=True)
 class DescentReport:
-    """Search outcome: representatives are one hypergraph per isomorphism
-    class; ``labeled_copies`` keeps every distinct identity-labeled output
-    encountered on the way (the same structure reappears under many
-    labelings, one per reduction path)."""
+    """Search outcome: ``minimal`` holds one hypergraph per isomorphism
+    class, the first copy of the class the search classified (a deep
+    search may reach a class under several labelings, and which one comes
+    first depends on the input's labels); ``labeled_copies`` keeps every
+    distinct identity-labeled minimal output encountered on the way (the
+    same structure reappears under many labelings, one per reduction
+    path).  ``already_minimal`` is true when the root's scan finished and
+    found no reducible magic matrix."""
 
     minimal: tuple[Hypergraph, ...]  # one representative per isomorphism class
     labeled_copies: tuple[Hypergraph, ...]
@@ -290,20 +432,13 @@ class DescentReport:
     elapsed_seconds: float
 
 
-@dataclass
-class _Budget:
-    max_nodes: int
-    deadline: float | None
-    exhausted: bool = False
+class _DeadlineReached(Exception):
+    """The descent search's time budget ran out."""
 
-    def charge_node(self, expanded: int) -> bool:
-        if expanded >= self.max_nodes or self.out_of_time():
-            self.exhausted = True
-            return False
-        return True
 
-    def out_of_time(self) -> bool:
-        return self.deadline is not None and time.monotonic() > self.deadline
+def _check_deadline(deadline: float | None) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise _DeadlineReached
 
 
 #: Matrices per scanned block: 2^_LOW_BLOCK.
@@ -320,12 +455,21 @@ def _reducible_rows(block: np.ndarray) -> np.ndarray:
     return (srt[:, 0] == 0) | (srt[:, 1:] == srt[:, :-1]).any(axis=1)
 
 
-def _reducible_signatures(h: Hypergraph, offset: BitMatrix, nonmagic, gram_cap: int, stats: dict):
+def _reducible_signatures(
+    h: Hypergraph,
+    offset: BitMatrix,
+    nonmagic,
+    gram_cap: int,
+    stats: dict,
+    deadline: float | None = None,
+):
     """Yield one (signature, matrix) per distinct reduction outcome.
 
     Signature = (deleted set, equal-row partition).  Exhaustive under the
     cap; beyond it, walks each zero-row / equal-row affine slice instead
     (sampled deterministically), which is where all reducible matrices live.
+    Raises ``_DeadlineReached`` once ``deadline`` (``time.monotonic``) has
+    passed, checked once per 2^_LOW_BLOCK matrices or per affine slice.
     """
     d = len(nonmagic)
     m = h.vertex_count
@@ -348,6 +492,7 @@ def _reducible_signatures(h: Hypergraph, offset: BitMatrix, nonmagic, gram_cap: 
         # blocks of candidate matrices are screened for reducibility together.
         if m <= 64:
             for block in _span_blocks(offset.rows, [b.rows for b in nonmagic], _LOW_BLOCK):
+                _check_deadline(deadline)
                 stats["inspected"] += block.shape[0]
                 for idx in np.nonzero(_reducible_rows(block))[0]:
                     rows = tuple(int(r) for r in block[idx])
@@ -357,7 +502,9 @@ def _reducible_signatures(h: Hypergraph, offset: BitMatrix, nonmagic, gram_cap: 
                         yield sig, BitMatrix(m, rows)
             return
         basis_rows = [list(b.rows) for b in nonmagic]
-        for _, rows in _gray_enumerate(list(offset.rows), basis_rows):
+        for step, rows in _gray_enumerate(list(offset.rows), basis_rows):
+            if not step % (1 << _LOW_BLOCK):
+                _check_deadline(deadline)
             stats["inspected"] += 1
             sig = signature(tuple(rows))
             if sig is not None and sig not in seen:
@@ -369,6 +516,7 @@ def _reducible_signatures(h: Hypergraph, offset: BitMatrix, nonmagic, gram_cap: 
     # capped per defect.
     per_defect = 1 << 12
     for _, eqs, rhs in _defect_systems(offset, nonmagic):
+        _check_deadline(deadline)
         x0 = solve_affine(eqs, rhs, d)
         if x0 is None:
             continue
@@ -390,22 +538,29 @@ def _reducible_signatures(h: Hypergraph, offset: BitMatrix, nonmagic, gram_cap: 
                 yield sig, BitMatrix(m, tuple(rows))
 
 
-def _has_reducible_magic_matrix(offset: BitMatrix, nonmagic, gram_cap: int) -> bool:
+def _has_reducible_magic_matrix(
+    offset: BitMatrix, nonmagic, gram_cap: int, deadline: float | None = None
+) -> bool:
     """True iff some matrix in offset + span(nonmagic) has a zero or repeated row.
 
     A block scan when the space holds at most ``_SCAN_ROWS`` matrix rows,
     affine defect solves otherwise (both are exact answers to the
-    existence question).
+    existence question).  Raises ``_DeadlineReached`` once ``deadline`` has
+    passed, checked once per block or per defect system.
     """
     d = len(nonmagic)
     m = offset.num_rows
     if m <= 64 and d <= gram_cap and m << d <= _SCAN_ROWS:
-        blocks = _span_blocks(offset.rows, [b.rows for b in nonmagic], _LOW_BLOCK)
-        return any(_reducible_rows(block).any() for block in blocks)
-    return any(
-        solve_affine(eqs, rhs, d) is not None
-        for _, eqs, rhs in _defect_systems(offset, nonmagic)
-    )
+        for block in _span_blocks(offset.rows, [b.rows for b in nonmagic], _LOW_BLOCK):
+            _check_deadline(deadline)
+            if _reducible_rows(block).any():
+                return True
+        return False
+    for _, eqs, rhs in _defect_systems(offset, nonmagic):
+        _check_deadline(deadline)
+        if solve_affine(eqs, rhs, d) is not None:
+            return True
+    return False
 
 
 def find_minimal_descendants(
@@ -418,76 +573,76 @@ def find_minimal_descendants(
 
     Exhaustive whenever every visited hypergraph's magic space fits the
     enumeration cap and the budget is not exhausted; the report says which.
+    The time budget is checked between reductions and once per scanned
+    block, so a search overruns ``max_seconds`` by about one block scan.
     Distinct reduction paths reproduce the same structure under different
-    labelings, so results are classed up to isomorphism, and isomorphic
-    intermediates are expanded only once (relabeling a hypergraph relabels
-    its reductions along with it, so descendant classes are unaffected).
+    labelings, so every child is classed by its canonical certificate
+    (``isomorphism_key``) as soon as it is produced.  The first child of a
+    class to be classified is its representative: a minimal one is
+    reported, a reducible one is expanded, and later copies only add to
+    ``labeled_copies``.  Isomorphic hypergraphs have the same reducibility
+    and, relabeled, the same reductions, so neither the verdict nor the
+    descendant classes depend on which copy came first.
     """
     t0 = time.monotonic()
-    budget = _Budget(max_nodes, None if max_seconds is None else t0 + max_seconds)
+    deadline = None if max_seconds is None else t0 + max_seconds
     space = valid_gram_space(h)
     if space.magic_offset is None:
         raise NoMagicGramError(f"{h.name or 'hypergraph'} admits no magic Gram matrix")
 
-    minimal = _IsoClasses()
+    is_minimal_class: dict[tuple, bool] = {}
+    minimal: list[Hypergraph] = []
     labeled: dict = {}
-    visited_iso = _IsoClasses()
-    visited: set = set()
-    classified: set = set()  # child keys already routed to results or queue
     complete = True
     stats = {"inspected": 0}
     expanded = 0
-    queue: list[Hypergraph] = [h]
-    any_reducible_at_root = False
+    queue: list[tuple[Hypergraph, GramSpace]] = [(h, space)]
+    already_minimal = False
 
-    while queue:
-        current = queue.pop()
-        key = canonical_edges(current)
-        if key in visited:
-            continue
-        visited.add(key)
-        if current is not h and not visited_iso.add(current):
-            continue
-        if not budget.charge_node(expanded):
-            complete = False
-            break
-        expanded += 1
-        sp = space if current is h else valid_gram_space(current)
-        if sp.magic_offset is None:
-            continue
-        if len(sp.nonmagic_basis) > gram_cap:
-            complete = False
-        children: list[Hypergraph] = []
-        for sig, matrix in _reducible_signatures(
-            current, sp.magic_offset, sp.nonmagic_basis, gram_cap, stats
-        ):
-            if current is h:
-                any_reducible_at_root = True
-            if budget.out_of_time():
+    try:
+        while queue:
+            if expanded >= max_nodes:
                 complete = False
                 break
-            trace = reduce_with(current, matrix)
-            child = trace.output
-            ckey = canonical_edges(child)
-            if ckey in classified or ckey in visited:
-                continue
-            classified.add(ckey)
-            child_space = valid_gram_space(child)
-            if child_space.magic_offset is None:
-                raise AssertionError("reduction output lost its magic Gram matrix")
-            if _has_reducible_magic_matrix(
-                child_space.magic_offset, child_space.nonmagic_basis, gram_cap
+            _check_deadline(deadline)
+            current, sp = queue.pop()
+            expanded += 1
+            if len(sp.nonmagic_basis) > gram_cap:
+                complete = False
+            children = []
+            found = False
+            for _, matrix in _reducible_signatures(
+                current, sp.magic_offset, sp.nonmagic_basis, gram_cap, stats, deadline
             ):
-                children.append(child)
-            else:
-                labeled[ckey] = child
-                minimal.add(child)
-        queue.extend(children)
+                found = True
+                _check_deadline(deadline)
+                child = reduce_with(current, matrix).output
+                cert = isomorphism_key(child)
+                child_minimal = is_minimal_class.get(cert)
+                if child_minimal is None:
+                    child_space = valid_gram_space(child)
+                    if child_space.magic_offset is None:
+                        raise AssertionError("reduction output lost its magic Gram matrix")
+                    child_minimal = not _has_reducible_magic_matrix(
+                        child_space.magic_offset, child_space.nonmagic_basis, gram_cap, deadline
+                    )
+                    is_minimal_class[cert] = child_minimal
+                    if child_minimal:
+                        minimal.append(child)
+                    else:
+                        children.append((child, child_space))
+                if child_minimal:
+                    labeled.setdefault(canonical_edges(child), child)
+            if current is h:
+                already_minimal = not found
+            queue.extend(children)
+    except _DeadlineReached:
+        complete = False
 
     return DescentReport(
-        minimal=minimal.representatives(),
+        minimal=tuple(minimal),
         labeled_copies=tuple(labeled.values()),
-        already_minimal=not any_reducible_at_root,
+        already_minimal=already_minimal,
         nodes_expanded=expanded,
         matrices_inspected=stats["inspected"],
         complete=complete,

@@ -5,7 +5,10 @@ import random
 import pytest
 
 from magicsets import datasets
+from magicsets.gf2 import BitMatrix
+from magicsets.gram import is_reduced, valid_gram_space
 from magicsets.hypergraph import Hypergraph
+from magicsets.reduce import reduce_with
 
 
 @pytest.fixture(scope="session")
@@ -50,3 +53,42 @@ def random_proper_eulerian(rng: random.Random, max_vertices: int = 14) -> Hyperg
         relabel = {v: i + 1 for i, v in enumerate(used)}
         clean = tuple(sorted(tuple(sorted(relabel[v] for v in e)) for e in edges))
         return Hypergraph(len(used), clean)
+
+
+def relabelled(h: Hypergraph, rng: random.Random) -> Hypergraph:
+    """h under a random vertex permutation, with its contexts shuffled."""
+    perm = list(range(1, h.vertex_count + 1))
+    rng.shuffle(perm)
+    edges = [[perm[v - 1] for v in e] for e in h.edges]
+    rng.shuffle(edges)
+    return Hypergraph.from_edges(edges, h.vertex_count)
+
+
+def seeded_magic_grams(h: Hypergraph, rng: random.Random, count: int) -> list[BitMatrix]:
+    """Up to ``count`` distinct magic Gram matrices: offset + random combinations."""
+    space = valid_gram_space(h)
+    grams = []
+    for _ in range(count):
+        x = rng.getrandbits(len(space.nonmagic_basis))
+        g = space.magic_offset
+        for l, b in enumerate(space.nonmagic_basis):
+            if (x >> l) & 1:
+                g = g ^ b
+        if g not in grams:
+            grams.append(g)
+    return grams
+
+
+def hb_descendants(max_dim: int) -> list[Hypergraph]:
+    """Children of HB from seeded non-reduced magic Gram matrices, the first
+    drawn for each magic-space dimension from 1 to max_dim."""
+    hb = datasets.load("HB").hypergraph
+    children: dict[int, Hypergraph] = {}
+    for g in seeded_magic_grams(hb, random.Random(2022), 40):
+        if is_reduced(g):
+            continue
+        child = reduce_with(hb, g).output
+        d = len(valid_gram_space(child).nonmagic_basis)
+        if 1 <= d <= max_dim:
+            children.setdefault(d, child)
+    return [children[d] for d in sorted(children)]

@@ -29,15 +29,13 @@ from magicsets.gf2 import (
 from magicsets.gram import (
     NoMagicGramError,
     _gray_enumerate,
-    is_reduced,
     magic_parity,
     valid_gram_space,
 )
 from magicsets.hypergraph import Hypergraph, incidence_matrix, parse_edge_list
 from magicsets.orbits import ms327_hypergraph
-from magicsets.reduce import reduce_with
 
-from conftest import random_proper_eulerian
+from conftest import hb_descendants, random_proper_eulerian, relabelled, seeded_magic_grams
 
 #: hypergraph_bound(...).to_json_dict() per bundled structure and route,
 #: written by the implementation that synthesized one assignment per magic
@@ -88,45 +86,6 @@ def sweep_bound_oracle(h: Hypergraph) -> HypergraphBoundReport:
         maximizing_signs=BitVector(n, best_rep),
         exact=exact and base.exact,
     )
-
-
-def relabelled(h: Hypergraph, rng: random.Random) -> Hypergraph:
-    """h under a random vertex permutation, with its contexts shuffled."""
-    perm = list(range(1, h.vertex_count + 1))
-    rng.shuffle(perm)
-    edges = [[perm[v - 1] for v in e] for e in h.edges]
-    rng.shuffle(edges)
-    return Hypergraph.from_edges(edges, h.vertex_count)
-
-
-def seeded_magic_grams(h: Hypergraph, rng: random.Random, count: int) -> list[BitMatrix]:
-    """Up to ``count`` distinct magic Gram matrices: offset + random combinations."""
-    space = valid_gram_space(h)
-    grams = []
-    for _ in range(count):
-        x = rng.getrandbits(len(space.nonmagic_basis))
-        g = space.magic_offset
-        for l, b in enumerate(space.nonmagic_basis):
-            if (x >> l) & 1:
-                g = g ^ b
-        if g not in grams:
-            grams.append(g)
-    return grams
-
-
-def hb_descendants(max_dim: int) -> list[Hypergraph]:
-    """Children of HB from seeded non-reduced magic Gram matrices, the first
-    drawn for each magic-space dimension from 1 to max_dim."""
-    hb = datasets.load("HB").hypergraph
-    children: dict[int, Hypergraph] = {}
-    for g in seeded_magic_grams(hb, random.Random(2022), 40):
-        if is_reduced(g):
-            continue
-        child = reduce_with(hb, g).output
-        d = len(valid_gram_space(child).nonmagic_basis)
-        if 1 <= d <= max_dim:
-            children.setdefault(d, child)
-    return [children[d] for d in sorted(children)]
 
 
 class TestNoncontextualBound:

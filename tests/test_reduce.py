@@ -1,9 +1,16 @@
 from __future__ import annotations
 
-import pytest
+import random
+import time
 
-from magicsets.gram import is_magic_gram, valid_gram_space
-from magicsets.hypergraph import is_proper_eulerian, parse_edge_list
+import networkx as nx
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from magicsets.gram import is_magic_gram, is_reduced, valid_gram_space
+from magicsets.hypergraph import Hypergraph, is_proper_eulerian, parse_edge_list
+from magicsets.orbits import ms327_hypergraph
 from magicsets.pauli import decode, encode, gram_matrix_of
 from magicsets.reduce import (
     RecipeError,
@@ -12,9 +19,65 @@ from magicsets.reduce import (
     are_isomorphic,
     canonical_edges,
     find_minimal_descendants,
+    isomorphism_key,
     recipe_from_gram,
     reduce_with,
 )
+
+from conftest import hb_descendants, random_proper_eulerian, relabelled, seeded_magic_grams
+
+
+def _bipartite_graph(h: Hypergraph) -> nx.Graph:
+    """Incidence graph with vertices and contexts told apart by ``part``."""
+    g = nx.Graph()
+    for v in range(1, h.vertex_count + 1):
+        g.add_node(("v", v), part="v")
+    for j, e in enumerate(h.edges):
+        g.add_node(("e", j), part="e")
+        for v in e:
+            g.add_edge(("v", v), ("e", j))
+    return g
+
+
+def vf2_isomorphic(a: Hypergraph, b: Hypergraph) -> bool:
+    """Oracle: hypergraph isomorphism by networkx VF2++ on the coloured
+    incidence graphs."""
+    if (a.vertex_count, a.num_edges) != (b.vertex_count, b.num_edges):
+        return False
+    if sorted(len(e) for e in a.edges) != sorted(len(e) for e in b.edges):
+        return False
+    return nx.vf2pp_is_isomorphic(_bipartite_graph(a), _bipartite_graph(b), node_label="part")
+
+
+def two_uniform(graph: nx.Graph) -> Hypergraph:
+    """A simple graph as a hypergraph whose contexts are its edges."""
+    index = {v: i + 1 for i, v in enumerate(graph.nodes)}
+    return Hypergraph.from_edges([(index[u], index[v]) for u, v in graph.edges], len(index))
+
+
+def shrikhande() -> nx.Graph:
+    """Cayley graph of Z4 x Z4 with connection set ±(0,1), ±(1,0), ±(1,1)."""
+    steps = [(0, 1), (1, 0), (1, 1), (0, 3), (3, 0), (3, 3)]
+    g = nx.Graph()
+    for a in range(4):
+        for b in range(4):
+            for da, db in steps:
+                g.add_edge((a, b), ((a + da) % 4, (b + db) % 4))
+    return g
+
+
+def switched(h: Hypergraph, rng: random.Random) -> Hypergraph:
+    """h with a vertex of one context traded for a vertex of another: the
+    same degrees and context sizes, isomorphic to h or not."""
+    edges = [list(e) for e in h.edges]
+    i, j = rng.sample(range(len(edges)), 2)
+    only_i = sorted(set(edges[i]) - set(edges[j]))
+    only_j = sorted(set(edges[j]) - set(edges[i]))
+    if only_i and only_j:
+        u, v = rng.choice(only_i), rng.choice(only_j)
+        edges[i][edges[i].index(u)] = v
+        edges[j][edges[j].index(v)] = u
+    return Hypergraph.from_edges(edges, h.vertex_count)
 
 
 def pulled_back_gram(parent_entry, child_entry):
@@ -170,11 +233,44 @@ class TestDescendants:
         report = find_minimal_descendants(entries["HB"].hypergraph, max_nodes=2, max_seconds=5)
         assert not report.complete
 
+    def test_deadline_honoured_inside_scans(self, entries):
+        # The root alone has hundreds of reductions to class; the budget
+        # must stop the search between them and inside the block scans.
+        start = time.monotonic()
+        report = find_minimal_descendants(
+            entries["HB"].hypergraph, max_nodes=10**7, max_seconds=3, gram_cap=26
+        )
+        assert not report.complete
+        assert time.monotonic() - start <= 3 + 2
+
+
+def descent_summary(h: Hypergraph) -> tuple:
+    report = find_minimal_descendants(h, max_seconds=None)
+    assert report.complete
+    return (
+        report.nodes_expanded,
+        report.matrices_inspected,
+        len(report.minimal),
+        sorted((c.vertex_count, c.num_edges) for c in report.minimal),
+        {isomorphism_key(c) for c in report.minimal},
+    )
+
+
+class TestDescentLabelIndependence:
+    @pytest.mark.parametrize("name", ["HD", "HB-d5"])
+    def test_relabelings_give_the_same_descent(self, entries, name):
+        if name == "HD":
+            h = entries["HD"].hypergraph
+        else:
+            (h,) = [c for c in hb_descendants(max_dim=5) if len(valid_gram_space(c).nonmagic_basis) == 5]
+        expected = descent_summary(h)
+        rng = random.Random(name)
+        for _ in range(3):
+            assert descent_summary(relabelled(h, rng)) == expected
+
 
 class TestIsomorphism:
     def test_relabelings_detected(self, entries):
-        import random
-
         h = entries["MS3-27b"].hypergraph
         rng = random.Random(17)
         perm = list(range(1, 28))
@@ -185,6 +281,74 @@ class TestIsomorphism:
         assert are_isomorphic(h, relabeled)
 
     def test_different_structures_distinguished(self, entries):
-        from magicsets.orbits import ms327_hypergraph
+        a, b = entries["MS3-27b"].hypergraph, ms327_hypergraph()
+        assert not vf2_isomorphic(a, b)
+        assert not are_isomorphic(a, b)
 
-        assert not are_isomorphic(entries["MS3-27b"].hypergraph, ms327_hypergraph())
+
+class TestCertificateAgainstVF2:
+    """``isomorphism_key`` equality must be exactly VF2's verdict."""
+
+    def test_bundled_structures(self, entries):
+        # A relabelled copy is isomorphic by construction, which is the
+        # oracle's verdict without running it (VF2 takes over 8 s on HA).
+        # Different structures of one shape go through VF2 itself.
+        hs = [e.hypergraph for e in entries.values()] + [ms327_hypergraph()]
+        keys = [isomorphism_key(h) for h in hs]
+        rng = random.Random(5)
+        for h, key in zip(hs, keys):
+            for _ in range(2):
+                assert isomorphism_key(relabelled(h, rng)) == key
+        for i in range(len(hs)):
+            for j in range(i + 1, len(hs)):
+                assert (keys[i] == keys[j]) == vf2_isomorphic(hs[i], hs[j])
+
+    def test_hb_children(self, entries):
+        # Seeded reductions of HB: a mix of isomorphic and non-isomorphic
+        # children of equal shape.
+        hb = entries["HB"].hypergraph
+        grams = seeded_magic_grams(hb, random.Random(31), 60)
+        children = [reduce_with(hb, g).output for g in grams if not is_reduced(g)][:20]
+        keys = [isomorphism_key(c) for c in children]
+        rng = random.Random(9)
+        for child, key in zip(children, keys):
+            assert isomorphism_key(relabelled(child, rng)) == key
+        for i in range(len(children)):
+            for j in range(i + 1, len(children)):
+                copy = relabelled(children[j], rng)
+                assert (keys[i] == isomorphism_key(copy)) == vf2_isomorphic(children[i], copy)
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [
+            (shrikhande(), nx.cartesian_product(nx.complete_graph(4), nx.complete_graph(4))),
+            (nx.circular_ladder_graph(3), nx.complete_bipartite_graph(3, 3)),
+        ],
+        ids=["shrikhande-rook4x4", "prism-k33"],
+    )
+    def test_pairs_colour_refinement_cannot_split(self, a, b):
+        ha, hb = two_uniform(a), two_uniform(b)
+        assert not vf2_isomorphic(ha, hb)
+        assert isomorphism_key(ha) != isomorphism_key(hb)
+        # In the disjoint union the first vertex individualised lands in
+        # either component, depending on the labels, so only the least
+        # leaf over both branches is label-independent.
+        union = two_uniform(nx.disjoint_union(a, b))
+        rng = random.Random(3)
+        for h in (ha, hb, union):
+            key = isomorphism_key(h)
+            for _ in range(3):
+                assert isomorphism_key(relabelled(h, rng)) == key
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_random_proper_eulerian_pairs(self, seed):
+        rng = random.Random(seed)
+        a = random_proper_eulerian(rng, max_vertices=7)
+        b = random_proper_eulerian(rng, max_vertices=7)
+        assert (isomorphism_key(a) == isomorphism_key(b)) == vf2_isomorphic(a, b)
+        copy = relabelled(b, rng)
+        assert (isomorphism_key(a) == isomorphism_key(copy)) == vf2_isomorphic(a, copy)
+        assert isomorphism_key(copy) == isomorphism_key(b)
+        twin = relabelled(switched(a, rng), rng)
+        assert (isomorphism_key(a) == isomorphism_key(twin)) == vf2_isomorphic(a, twin)
