@@ -24,10 +24,10 @@ from .gf2 import (
     CosetTooLargeError,
     DEFAULT_COSET_CAP,
     Echelon,
+    SyndromeTable,
     coset_min_weight,
     row_combination,
     _rank_rows,
-    _span_blocks,
 )
 from .gram import GramSpace, NoMagicGramError, valid_gram_space
 from .hypergraph import Hypergraph, incidence_matrix, is_proper_eulerian
@@ -256,15 +256,17 @@ def _pauli_sign_cosets(
 def _coset_weights(row_space: Echelon, reps, n: int, coset_cap: int) -> tuple[list[int], bool]:
     """Minimum weight of every coset rep + row(M), and whether all are exact.
 
-    Several cosets of a small row space share one numpy enumeration of it;
-    otherwise each coset is searched on its own, degrading to its best
-    upper bound past ``coset_cap``.
+    When the codimension is at most ``_NUMPY_ENUM_DIM`` and there are
+    several reps, or the rank is above it, every weight is a lookup in one
+    ``SyndromeTable`` (about n * 2^codim steps to build, exact at any
+    rank).  Otherwise each coset is searched on its own with
+    ``coset_min_weight``, which degrades to its best upper bound past
+    ``coset_cap``.
     """
-    rows = list(row_space.pivots.values())
-    if len(reps) > 1 and len(rows) <= min(coset_cap, _NUMPY_ENUM_DIM) and n <= 64:
-        elems = next(_span_blocks([0], [[row] for row in rows], len(rows))).ravel()
-        return [int(np.bitwise_count(elems ^ np.uint64(rep)).min()) for rep in reps], True
-    row_vecs = [BitVector(n, row) for row in rows]
+    codim = n - row_space.rank
+    if codim <= _NUMPY_ENUM_DIM and (len(reps) > 1 or row_space.rank > _NUMPY_ENUM_DIM):
+        return SyndromeTable(row_space, n).coset_weights(reps), True
+    row_vecs = [BitVector(n, row) for row in row_space.pivots.values()]
     weights, exact = [], True
     for rep in reps:
         try:
@@ -290,6 +292,15 @@ def hypergraph_bound(
     space, since observable negations realize any odd pattern within a
     coset.
 
+    Coset weights come from one ``SyndromeTable`` of the row space: a
+    breadth-first search over its 2^codim syndromes, about n * 2^codim
+    steps, after which each coset's exact minimum weight is a lookup.  The
+    all-assignments route always uses it (its codimension is at most
+    ``gram_cap`` + 1) and selects the odd-popcount syndromes with numpy.
+    The Pauli-only route uses it when codim <= 22 and there are several
+    cosets or a row space of rank above 22; otherwise it searches each
+    coset with ``coset_min_weight``.
+
     The Pauli-only route needs only d+1 syntheses for a magic space of
     dimension d, because the sign coset c + row(M) of an assignment is an
     affine function of its Gram matrix G.  Proof: take an edge set y in
@@ -307,8 +318,9 @@ def hypergraph_bound(
 
     ``gram_matrices_checked`` counts the magic Gram matrices covered: all
     2^d of them up to ``gram_cap``; past it, the offset and its d
-    single-basis shifts, flagged inexact.  A coset search past
-    ``coset_cap`` degrades to a flagged upper bound on its weight.
+    single-basis shifts, flagged inexact.  A ``coset_min_weight`` search
+    past ``coset_cap``, here or in the ``noncontextual_bound`` of the
+    maximizing coset, degrades to a flagged upper bound on its weight.
     """
     ok, diag = is_proper_eulerian(h)
     if not ok:
@@ -324,39 +336,37 @@ def hypergraph_bound(
 
     if pauli_only:
         reps, grams_checked, exact = _pauli_sign_cosets(h, space, ech, gram_cap)
+        weights, weights_exact = _coset_weights(ech, reps, n, coset_cap)
+        exact = exact and weights_exact
+        # The first coset of the largest weight, in the order reps were found.
+        best_rep, _ = max(zip(reps, weights), key=lambda item: item[1])
+        cosets = len(reps)
     else:
         exact = True
-        reps = {}
         codim = n - ech.rank
-        free_cols = [j for j in range(n) if j not in ech.pivots]
         if codim - 1 > gram_cap:
             raise ValueError(
                 f"odd-coset enumeration needs 2^{codim - 1} cosets, over cap {gram_cap}"
             )
-        # Canonical representatives are supported on free columns; rows of a
-        # proper Eulerian incidence matrix are even, so coset parity is the
-        # representative's parity and odd cosets are half of all cosets.
-        for combo in range(1 << codim):
-            bits = 0
-            cc = combo
-            while cc:
-                l = (cc & -cc).bit_length() - 1
-                bits |= 1 << free_cols[l]
-                cc &= cc - 1
-            if bits.bit_count() % 2 == 1:
-                reps.setdefault(bits)
+        # A representative supported on the free columns is its own
+        # syndrome; rows of a proper Eulerian incidence matrix are even, so
+        # coset parity is the representative's parity and the odd cosets
+        # are the odd-popcount syndromes, half of all cosets.
+        table = SyndromeTable(ech, n)
+        syndromes = np.arange(1 << codim, dtype=np.uint64)
+        odd = syndromes[np.bitwise_count(syndromes) & 1 == 1]
+        # The first coset of the largest weight, in ascending syndrome order.
+        best_rep = table.lift(int(odd[np.argmax(table.weights[odd])]))
+        cosets = len(odd)
 
-    weights, weights_exact = _coset_weights(ech, reps, n, coset_cap)
-    # The first coset of the largest weight, in the order reps were found.
-    best_rep, _ = max(zip(reps, weights), key=lambda item: item[1])
     base = noncontextual_bound(h, BitVector(n, best_rep), coset_cap=coset_cap)
     return HypergraphBoundReport(
         report=base,
         pauli_only=pauli_only,
-        cosets_checked=len(reps),
+        cosets_checked=cosets,
         gram_matrices_checked=grams_checked,
         maximizing_signs=BitVector(n, best_rep),
-        exact=exact and weights_exact and base.exact,
+        exact=exact and base.exact,
     )
 
 

@@ -416,6 +416,67 @@ def coset_min_weight(
     return w, BitVector(length, v)
 
 
+class SyndromeTable:
+    """Minimum weight of every coset of a row space, indexed by syndrome.
+
+    The syndrome of v is ``row_space.reduce(v)``, which is supported on
+    the free (non-pivot) columns, compressed to bit i per ``free[i]``: an
+    index in [0, 2^codim).  ``weights[s]`` is the coset-leader weight of
+    syndrome s, from one breadth-first search out of syndrome 0 whose
+    steps are the syndromes of the unit vectors (syndrome decoding;
+    MacWilliams & Sloane, *The Theory of Error-Correcting Codes*, 1977).
+    It costs about length * 2^codim array steps and 2^codim bytes.
+    """
+
+    __slots__ = ("free", "weights", "_byte_syndromes")
+
+    def __init__(self, row_space: Echelon, length: int):
+        self.free = [j for j in range(length) if j not in row_space.pivots]
+        units = []
+        for j in range(length):
+            r = row_space.reduce(1 << j)
+            units.append(sum(((r >> col) & 1) << i for i, col in enumerate(self.free)))
+        # The syndrome is linear: per 8-bit slice of v, the XOR of its units.
+        self._byte_syndromes = []
+        for lo in range(0, length, 8):
+            table = [0]
+            for unit in units[lo : lo + 8]:
+                table += [s ^ unit for s in table]
+            self._byte_syndromes.append(table)
+
+        steps = np.unique(units)
+        unseen = np.iinfo(np.uint8).max  # a coset leader weighs at most codim
+        weights = np.full(1 << len(self.free), unseen, dtype=np.uint8)
+        weights[0] = 0
+        frontier = np.zeros(1, dtype=np.intp)
+        dist = 0
+        while frontier.size:
+            dist += 1
+            for step in steps:
+                nxt = frontier ^ step
+                weights[nxt[weights[nxt] == unseen]] = dist
+            frontier = np.flatnonzero(weights == dist)
+        self.weights = weights
+
+    def syndrome(self, v: int) -> int:
+        s = 0
+        for table in self._byte_syndromes:
+            s ^= table[v & 0xFF]
+            v >>= 8
+        return s
+
+    def lift(self, s: int) -> int:
+        """The coset representative supported on the free columns of syndrome s."""
+        v = 0
+        for i, col in enumerate(self.free):
+            v |= ((s >> i) & 1) << col
+        return v
+
+    def coset_weights(self, vectors: Iterable[int]) -> list[int]:
+        """Minimum Hamming weight over v + row space, per vector v."""
+        return self.weights[[self.syndrome(v) for v in vectors]].tolist()
+
+
 __all__ = [
     "BitVector",
     "BitMatrix",
@@ -428,4 +489,5 @@ __all__ = [
     "row_combination",
     "solve_affine",
     "coset_min_weight",
+    "SyndromeTable",
 ]

@@ -26,13 +26,16 @@ def pentagram(entries):
     return entries["pentagram"]
 
 
-def random_proper_eulerian(rng: random.Random, max_vertices: int = 14) -> Hypergraph:
+def random_proper_eulerian(
+    rng: random.Random, max_vertices: int = 14, max_edges: int = 9
+) -> Hypergraph:
     """Random proper Eulerian hypergraph: random edges, then one closing
-    edge over the odd-degree vertices (their count is even by handshake)."""
+    edge over the odd-degree vertices (their count is even by handshake).
+    There are 3 to ``max_edges`` random edges before the closing one."""
     while True:
         m = rng.randint(4, max_vertices)
         edges: set[tuple[int, ...]] = set()
-        for _ in range(rng.randint(3, 9)):
+        for _ in range(rng.randint(3, max_edges)):
             size = rng.randint(2, min(5, m))
             edge = tuple(sorted(rng.sample(range(1, m + 1), size)))
             edges.add(edge)

@@ -2,14 +2,18 @@ from __future__ import annotations
 
 import json
 import random
+import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from magicsets import bound, datasets
 from magicsets.assign import assignment_from_gram
 from magicsets.bound import (
+    DEFAULT_GRAM_ENUM_CAP,
     HypergraphBoundReport,
     brute_force_bound,
     format_epsilon,
@@ -21,8 +25,11 @@ from magicsets.gf2 import (
     BitMatrix,
     BitVector,
     CosetTooLargeError,
+    DEFAULT_COSET_CAP,
     Echelon,
+    SyndromeTable,
     _rank_rows,
+    _span_blocks,
     coset_min_weight,
     null_space_basis,
 )
@@ -37,11 +44,14 @@ from magicsets.orbits import ms327_hypergraph
 
 from conftest import hb_descendants, random_proper_eulerian, relabelled, seeded_magic_grams
 
-#: hypergraph_bound(...).to_json_dict() per bundled structure and route,
-#: written by the implementation that synthesized one assignment per magic
-#: Gram matrix.  HB is absent (2^14 syntheses took minutes there).  The
-#: all-assignments route is absent where its per-coset search takes 9 s or
-#: more: HA, HC, MS3-29 and MS6-35.
+#: hypergraph_bound(...).to_json_dict() per bundled structure and route.
+#: Most entries were written by the implementation that synthesized one
+#: assignment per magic Gram matrix and searched each coset on its own.
+#: HD's all-assignments entry, HB and the all-assignments entries of HA,
+#: HC, MS3-29 and MS6-35 (too slow for that implementation) were written
+#: with coset weights from a SyndromeTable, which the oracles below check.
+#: Rewrite named entries with ``PYTHONPATH=src python tests/test_bound.py
+#: NAME...`` (only when an output change is intended).
 GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "hypergraph_bound_golden.json"
 
 
@@ -86,6 +96,43 @@ def sweep_bound_oracle(h: Hypergraph) -> HypergraphBoundReport:
         maximizing_signs=BitVector(n, best_rep),
         exact=exact and base.exact,
     )
+
+
+def shared_enumeration_oracle(row_space: Echelon, reps, n: int) -> list[int]:
+    """Minimum weight of every coset rep + row(M) from one numpy
+    enumeration of row(M) shared by all reps (n <= 64).
+
+    The branch of ``bound._coset_weights`` that the SyndromeTable lookup
+    replaced, kept as its test oracle.  Blocks of at most 2^20 elements
+    keep its memory small up to rank 25.
+    """
+    rows = list(row_space.pivots.values())
+    best = [n] * len(reps)
+    for block in _span_blocks([0], [[row] for row in rows], min(len(rows), 20)):
+        elems = block.ravel()
+        for i, rep in enumerate(reps):
+            best[i] = min(best[i], int(np.bitwise_count(elems ^ np.uint64(rep)).min()))
+    return best
+
+
+def pauli_reps(h: Hypergraph) -> tuple[Echelon, list[int]]:
+    """The incidence row space and the Pauli sign-coset reps hypergraph_bound scores."""
+    row_space = Echelon(incidence_matrix(h).rows)
+    reps, _, _ = bound._pauli_sign_cosets(h, valid_gram_space(h), row_space, DEFAULT_GRAM_ENUM_CAP)
+    return row_space, list(reps)
+
+
+def assert_weights_match_oracles(h: Hypergraph, row_space: Echelon, reps: list[int]) -> None:
+    """The table, and bound._coset_weights, against per-rep coset_min_weight
+    (uncapped) and, up to rank 25, the shared enumeration."""
+    n = h.num_edges
+    table = SyndromeTable(row_space, n)
+    got = table.coset_weights(reps)
+    row_vecs = [BitVector(n, row) for row in row_space.pivots.values()]
+    assert got == [coset_min_weight(row_vecs, BitVector(n, rep), cap=n)[0] for rep in reps]
+    if row_space.rank <= 25:
+        assert got == shared_enumeration_oracle(row_space, reps, n)
+    assert bound._coset_weights(row_space, reps, n, DEFAULT_COSET_CAP) == (got, True)
 
 
 class TestNoncontextualBound:
@@ -285,6 +332,84 @@ class TestHypergraphBound:
             hypergraph_bound(parse_edge_list("[[1,2],[2,3],[3,4],[4,1]]"), pauli_only=False)
 
 
+class TestSyndromeTable:
+    @pytest.mark.parametrize("name", datasets.NAMES)
+    def test_bundled_pauli_reps(self, entries, name):
+        h = entries[name].hypergraph
+        row_space, reps = pauli_reps(h)
+        if len(reps) > 256:  # HB's 16 384 cosets: a seeded sample
+            reps = random.Random(71).sample(reps, 256)
+        assert_weights_match_oracles(h, row_space, reps)
+
+    def test_hb_descendants_relabelled(self):
+        rng = random.Random(79)
+        for child in hb_descendants(max_dim=9):
+            for _ in range(2):
+                g = relabelled(child, rng)
+                assert_weights_match_oracles(g, *pauli_reps(g))
+
+    def test_every_coset_matches_brute_force(self):
+        rng = random.Random(73)
+        for _ in range(30):
+            h = random_proper_eulerian(rng, max_vertices=12, max_edges=18)
+            n = h.num_edges
+            table = SyndromeTable(Echelon(incidence_matrix(h).rows), n)
+            for s in range(1 << len(table.free)):
+                rep = table.lift(s)
+                assert table.syndrome(rep) == s
+                assert brute_force_bound(h, BitVector(n, rep)).w_min == table.weights[s], (h, s)
+
+    def test_hd_weights_from_all_light_vectors(self, entries):
+        """HD's table equals the least weight hitting each coset, found by
+        listing every vector of weight <= 5 in GF(2)^45 (about 1.39 M);
+        every coset is hit, so no coset leader weighs more than 5."""
+        h = entries["HD"].hypergraph
+        n = h.num_edges
+        row_space = Echelon(incidence_matrix(h).rows)
+        # Reduction is linear: a vector's coset rep is the XOR of its units' reps.
+        unit = np.array([row_space.reduce(1 << j) for j in range(n)], dtype=np.uint64)
+        reps, last = np.zeros(1, dtype=np.uint64), np.full(1, -1)
+        least: dict[int, int] = {0: 0}
+        for w in range(1, 6):
+            grown = [(reps[last < j] ^ unit[j], np.full(int((last < j).sum()), j)) for j in range(n)]
+            reps = np.concatenate([r for r, _ in grown])
+            last = np.concatenate([l for _, l in grown])
+            for rep in np.unique(reps).tolist():
+                least.setdefault(rep, w)
+        table = SyndromeTable(row_space, n)
+        assert len(least) == len(table.weights) == 1 << 9
+        assert {table.syndrome(rep): w for rep, w in least.items()} == dict(enumerate(table.weights.tolist()))
+        odd = [w for rep, w in least.items() if rep.bit_count() % 2]
+        assert (len(odd), max(odd)) == (256, 5)
+        every = hypergraph_bound(h, pauli_only=False)
+        assert least[row_space.reduce(every.maximizing_signs.bits)] == 5
+        assert (every.report.w_min, every.report.b, every.exact) == (5, 35, False)
+
+
+class TestRoutes:
+    @pytest.mark.parametrize("name", datasets.NAMES)
+    def test_pauli_bound_not_below_all_assignments(self, entries, name):
+        """Pauli sign cosets are odd cosets, so their best weight is no larger."""
+        h = entries[name].hypergraph
+        pauli = hypergraph_bound(h, pauli_only=True)
+        every = hypergraph_bound(h, pauli_only=False)
+        codim = h.num_edges - Echelon(incidence_matrix(h).rows).rank
+        assert every.cosets_checked == 1 << (codim - 1)
+        assert every.maximizing_signs.weight() % 2 == 1
+        if pauli.exact and every.exact:
+            assert pauli.report.b >= every.report.b
+
+    @pytest.mark.parametrize("name,pauli_only", [("HB", True), ("HB", False), ("HC", False)])
+    def test_within_budget(self, entries, name, pauli_only):
+        start = time.perf_counter()
+        rep = hypergraph_bound(entries[name].hypergraph, pauli_only=pauli_only)
+        assert time.perf_counter() - start < 10.0
+        assert rep.exact
+        if name == "HB":
+            assert rep.cosets_checked == 16384
+            assert rep.gram_matrices_checked == (16384 if pauli_only else None)
+
+
 class TestToleratedError:
     @pytest.mark.parametrize(
         "b,q,expect,dec",
@@ -317,3 +442,23 @@ def test_report_serialization(square):
     assert {"b", "Q", "w_min", "s", "epsilon", "witness", "method"} <= doc.keys()
     assert doc["b"] == 4 and doc["method"] == "coset"
     assert doc["epsilon_exact"] == "1/3"
+
+
+def write_golden(names: list[str]) -> None:
+    """Recompute both routes for each named structure; keep every other entry."""
+    golden = json.loads(GOLDEN_PATH.read_text())
+    for name in names:
+        h = datasets.load(name).hypergraph
+        golden[name] = {
+            route: hypergraph_bound(h, pauli_only=route == "pauli_only").to_json_dict()
+            for route in ("all_assignments", "pauli_only")
+        }
+    GOLDEN_PATH.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    unknown = sorted(set(sys.argv[1:]) - set(datasets.NAMES))
+    if not sys.argv[1:] or unknown:
+        sys.exit(f"usage: {sys.argv[0]} NAME...  (bundled names: {', '.join(datasets.NAMES)})")
+    write_golden(sys.argv[1:])
+    print(f"wrote {', '.join(sys.argv[1:])} to {GOLDEN_PATH}", file=sys.stderr)
