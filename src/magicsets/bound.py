@@ -18,11 +18,10 @@ import numpy as np
 
 from .assign import assignment_from_gram
 from .gf2 import (
-    _NUMPY_ENUM_DIM,
+    _TABLE_CODIM,
     BitMatrix,
     BitVector,
     CosetTooLargeError,
-    DEFAULT_COSET_CAP,
     Echelon,
     SyndromeTable,
     coset_min_weight,
@@ -98,14 +97,12 @@ def _check_witness(h: Hypergraph, c: BitVector, witness: tuple[int, ...], b: int
         raise AssertionError(f"witness reaches {total}, expected {b}")
 
 
-def noncontextual_bound(
-    h: Hypergraph, c: BitVector, coset_cap: int = DEFAULT_COSET_CAP
-) -> BoundReport:
+def noncontextual_bound(h: Hypergraph, c: BitVector) -> BoundReport:
     """Exact bound via minimum-weight search over c + row(incidence matrix).
 
     An even-weight c is accepted but flagged (``magic_signs=False``); magic
-    sign patterns always have odd weight.  If the row-space dimension
-    exceeds ``coset_cap`` the report carries the best bound found, flagged
+    sign patterns always have odd weight.  Past the cap of
+    ``coset_min_weight`` the report carries the best bound found, flagged
     inexact.
     """
     ok, diag = is_proper_eulerian(h)
@@ -118,7 +115,7 @@ def noncontextual_bound(
     row_vecs = [BitVector(n, r) for r in M.rows]
     exact = True
     try:
-        w_min, y = coset_min_weight(row_vecs, c, cap=coset_cap)
+        w_min, y = coset_min_weight(row_vecs, c)
     except CosetTooLargeError as err:
         w_min, y = err.best_weight, err.best_witness
         exact = False
@@ -253,24 +250,20 @@ def _pauli_sign_cosets(
     return reps, 1 << d, True
 
 
-def _coset_weights(row_space: Echelon, reps, n: int, coset_cap: int) -> tuple[list[int], bool]:
+def _coset_weights(row_space: Echelon, reps, n: int) -> tuple[list[int], bool]:
     """Minimum weight of every coset rep + row(M), and whether all are exact.
 
-    When the codimension is at most ``_NUMPY_ENUM_DIM`` and there are
-    several reps, or the rank is above it, every weight is a lookup in one
-    ``SyndromeTable`` (about n * 2^codim steps to build, exact at any
-    rank).  Otherwise each coset is searched on its own with
-    ``coset_min_weight``, which degrades to its best upper bound past
-    ``coset_cap``.
+    Lookups in one ``SyndromeTable`` when the codimension is at most
+    ``_TABLE_CODIM``; otherwise one ``coset_min_weight`` search per rep,
+    which degrades to its best upper bound past its cap.
     """
-    codim = n - row_space.rank
-    if codim <= _NUMPY_ENUM_DIM and (len(reps) > 1 or row_space.rank > _NUMPY_ENUM_DIM):
+    if n - row_space.rank <= _TABLE_CODIM:
         return SyndromeTable(row_space, n).coset_weights(reps), True
     row_vecs = [BitVector(n, row) for row in row_space.pivots.values()]
     weights, exact = [], True
     for rep in reps:
         try:
-            w, _ = coset_min_weight(row_vecs, BitVector(n, rep), cap=coset_cap)
+            w, _ = coset_min_weight(row_vecs, BitVector(n, rep))
         except CosetTooLargeError as err:
             w = err.best_weight
             exact = False
@@ -282,7 +275,6 @@ def hypergraph_bound(
     h: Hypergraph,
     pauli_only: bool = True,
     gram_cap: int = DEFAULT_GRAM_ENUM_CAP,
-    coset_cap: int = DEFAULT_COSET_CAP,
 ) -> HypergraphBoundReport:
     """Minimum bound over magic assignments: b(H) = |E| - 2*max_C w(C).
 
@@ -293,13 +285,12 @@ def hypergraph_bound(
     coset.
 
     Coset weights come from one ``SyndromeTable`` of the row space: a
-    breadth-first search over its 2^codim syndromes, about n * 2^codim
+    suffix dynamic program over its 2^codim syndromes, about n * 2^codim
     steps, after which each coset's exact minimum weight is a lookup.  The
-    all-assignments route always uses it (its codimension is at most
-    ``gram_cap`` + 1) and selects the odd-popcount syndromes with numpy.
-    The Pauli-only route uses it when codim <= 22 and there are several
-    cosets or a row space of rank above 22; otherwise it searches each
-    coset with ``coset_min_weight``.
+    all-assignments route selects the odd-popcount syndromes with numpy
+    (its codimension is at most ``gram_cap`` + 1).  The Pauli-only route
+    uses the table when codim <= 22 and otherwise searches each coset with
+    ``coset_min_weight``.
 
     The Pauli-only route needs only d+1 syntheses for a magic space of
     dimension d, because the sign coset c + row(M) of an assignment is an
@@ -319,8 +310,9 @@ def hypergraph_bound(
     ``gram_matrices_checked`` counts the magic Gram matrices covered: all
     2^d of them up to ``gram_cap``; past it, the offset and its d
     single-basis shifts, flagged inexact.  A ``coset_min_weight`` search
-    past ``coset_cap``, here or in the ``noncontextual_bound`` of the
-    maximizing coset, degrades to a flagged upper bound on its weight.
+    past its cap (codim above 22 and dimension above ``DEFAULT_COSET_CAP``),
+    here or in the ``noncontextual_bound`` of the maximizing coset,
+    degrades to a flagged upper bound on its weight.
     """
     ok, diag = is_proper_eulerian(h)
     if not ok:
@@ -336,7 +328,7 @@ def hypergraph_bound(
 
     if pauli_only:
         reps, grams_checked, exact = _pauli_sign_cosets(h, space, ech, gram_cap)
-        weights, weights_exact = _coset_weights(ech, reps, n, coset_cap)
+        weights, weights_exact = _coset_weights(ech, reps, n)
         exact = exact and weights_exact
         # The first coset of the largest weight, in the order reps were found.
         best_rep, _ = max(zip(reps, weights), key=lambda item: item[1])
@@ -359,7 +351,7 @@ def hypergraph_bound(
         best_rep = table.lift(int(odd[np.argmax(table.weights[odd])]))
         cosets = len(odd)
 
-    base = noncontextual_bound(h, BitVector(n, best_rep), coset_cap=coset_cap)
+    base = noncontextual_bound(h, BitVector(n, best_rep))
     return HypergraphBoundReport(
         report=base,
         pauli_only=pauli_only,

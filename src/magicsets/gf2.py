@@ -9,9 +9,9 @@ a row's lowest set bit.  The convention is load-bearing: it fixes the
 reduced echelon form, hence the null-space basis of ``null_space_basis``
 (the valid Gram basis, and through it every magic witness, synthesized
 assignment and maximizing sign pattern the CLI prints), the particular
-solution of ``solve_affine`` and the coset representatives and search
-order of ``coset_min_weight``.  Only the rank does not depend on it, so
-``rank`` pivots on the highest bit, which is faster in Python.
+solution of ``solve_affine`` and the coset representatives of
+``Echelon.reduce``, hence ``SyndromeTable``'s syndromes.  Only the rank
+does not depend on it, so ``rank`` pivots on the highest bit.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ import numpy as np
 #: Default hard cap on the coset-enumeration dimension.
 DEFAULT_COSET_CAP = 30
 
-#: Below this dimension the coset search enumerates all elements with numpy.
-_NUMPY_ENUM_DIM = 22
+#: Up to this codimension coset weights and witnesses come from a SyndromeTable.
+_TABLE_CODIM = 22
 
 
 class CosetTooLargeError(Exception):
@@ -318,11 +318,6 @@ def solve_affine(equations: Sequence[int], rhs: Sequence[int], num_vars: int) ->
     return BitVector(num_vars, x)
 
 
-def _lex_key(bits: int, length: int) -> tuple[int, ...]:
-    """Coordinate tuple (c0, c1, ...); ties among witnesses compare on this."""
-    return tuple((bits >> i) & 1 for i in range(length))
-
-
 def _span_blocks(
     offset: Sequence[int], basis: Sequence[Sequence[int]], low: int
 ) -> Iterator[np.ndarray]:
@@ -344,16 +339,6 @@ def _span_blocks(
         yield block ^ shift
 
 
-def _min_weight_numpy(basis_rows: list[int], offset: int, length: int) -> tuple[int, int]:
-    """Enumerate the full coset with numpy popcounts (length <= 64 only)."""
-    elems = next(_span_blocks([offset], [[b] for b in basis_rows], len(basis_rows))).ravel()
-    weights = np.bitwise_count(elems)
-    w = int(weights.min())
-    candidates = elems[weights == w]
-    best = min((int(c) for c in candidates), key=lambda c: _lex_key(c, length))
-    return w, best
-
-
 def _min_weight_dfs(basis: list[tuple[int, int]], offset: int, length: int) -> tuple[int, int]:
     """Branch-and-bound over an echelon basis, pruning on fixed-prefix weight.
 
@@ -371,8 +356,10 @@ def _min_weight_dfs(basis: list[tuple[int, int]], offset: int, length: int) -> t
     while stack:
         t, vec = stack.pop()
         if t == r:
-            w = vec.bit_count()
-            if w < best_w or (w == best_w and _lex_key(vec, length) < _lex_key(best_v, length)):
+            w, diff = vec.bit_count(), vec ^ best_v
+            # Ties go to the lexicographically smaller (c0, c1, ...): the
+            # lowest differing coordinate is 0 in it.
+            if w < best_w or (w == best_w and best_v & diff & -diff):
                 best_w, best_v = w, vec
             continue
         for nxt in (vec ^ rows[t], vec):  # LIFO: the unchanged branch explores first
@@ -390,9 +377,11 @@ def coset_min_weight(
 
     Returns (weight, witness) where the witness is the lexicographically
     smallest coordinate vector among the minimum-weight elements.  When
-    offset lies in the span the answer is an exact 0 at any dimension;
-    otherwise raises CosetTooLargeError when the span dimension exceeds
-    ``cap``, attaching the best upper bound found.
+    offset lies in the span the answer is an exact 0; when the codimension
+    is at most ``_TABLE_CODIM`` the witness is a ``SyndromeTable`` leader,
+    exact at any span dimension.  Past that a branch-and-bound search runs,
+    and raises CosetTooLargeError when the span dimension exceeds ``cap``,
+    attaching the best upper bound found.
     """
     length = offset.length
     for v in row_basis:
@@ -402,60 +391,63 @@ def coset_min_weight(
     start = ech.reduce(offset.bits)
     if start == 0:
         return 0, BitVector(length, 0)
+    if length - ech.rank <= _TABLE_CODIM:
+        table = SyndromeTable(ech, length)
+        v = table.leader(table.syndrome(start))
+        return v.bit_count(), BitVector(length, v)
     dim = ech.rank
     if dim > cap:
         # Cheap upper bound: the reduced offset (often far below the raw one).
         w = min(offset.bits.bit_count(), start.bit_count())
         witness = start if start.bit_count() <= offset.bits.bit_count() else offset.bits
         raise CosetTooLargeError(dim, cap, w, BitVector(length, witness))
-    basis = ech.rref()
-    if dim <= _NUMPY_ENUM_DIM and length <= 64:
-        w, v = _min_weight_numpy([b for _, b in basis], start, length)
-    else:
-        w, v = _min_weight_dfs(basis, start, length)
+    w, v = _min_weight_dfs(ech.rref(), start, length)
     return w, BitVector(length, v)
 
 
 class SyndromeTable:
-    """Minimum weight of every coset of a row space, indexed by syndrome.
+    """Coset leaders of a row space, indexed by syndrome (MacWilliams &
+    Sloane, *The Theory of Error-Correcting Codes*, 1977).
 
-    The syndrome of v is ``row_space.reduce(v)``, which is supported on
-    the free (non-pivot) columns, compressed to bit i per ``free[i]``: an
-    index in [0, 2^codim).  ``weights[s]`` is the coset-leader weight of
-    syndrome s, from one breadth-first search out of syndrome 0 whose
-    steps are the syndromes of the unit vectors (syndrome decoding;
-    MacWilliams & Sloane, *The Theory of Error-Correcting Codes*, 1977).
-    It costs about length * 2^codim array steps and 2^codim bytes.
+    The syndrome of v is ``row_space.reduce(v)`` (zero on the pivots)
+    compressed to bit i per free column ``free[i]``, an index in
+    [0, 2^codim); ``units[j]`` is the syndrome of coordinate j.  A suffix
+    dynamic program fills the table: T_i[s], the least weight of a vector
+    on coordinates >= i with syndrome s, is min(T_{i+1}[s],
+    1 + T_{i+1}[s ^ units[i]]), from T_length = 0 at s = 0, unreachable
+    elsewhere; ``weights`` is T_0.  A "take" bit per coordinate and
+    syndrome marks where the second term is strictly smaller, so
+    ``leader`` sets a coordinate only where it must, which gives the
+    lexicographically smallest minimum-weight vector.  It costs about
+    length * 2^codim array steps and length * 2^codim / 8 bytes.
     """
 
-    __slots__ = ("free", "weights", "_byte_syndromes")
+    __slots__ = ("free", "units", "weights", "_take", "_byte_syndromes")
 
     def __init__(self, row_space: Echelon, length: int):
         self.free = [j for j in range(length) if j not in row_space.pivots]
-        units = []
+        self.units = []
         for j in range(length):
             r = row_space.reduce(1 << j)
-            units.append(sum(((r >> col) & 1) << i for i, col in enumerate(self.free)))
+            self.units.append(sum(((r >> col) & 1) << i for i, col in enumerate(self.free)))
         # The syndrome is linear: per 8-bit slice of v, the XOR of its units.
         self._byte_syndromes = []
         for lo in range(0, length, 8):
             table = [0]
-            for unit in units[lo : lo + 8]:
+            for unit in self.units[lo : lo + 8]:
                 table += [s ^ unit for s in table]
             self._byte_syndromes.append(table)
 
-        steps = np.unique(units)
-        unseen = np.iinfo(np.uint8).max  # a coset leader weighs at most codim
-        weights = np.full(1 << len(self.free), unseen, dtype=np.uint8)
+        syndromes = np.arange(1 << len(self.free))
+        # Unreachable is 128: reachable weights are at most codim, and no
+        # entry ever exceeds 128, so adding 1 cannot wrap the uint8.
+        weights = np.full(syndromes.size, 128, dtype=np.uint8)
         weights[0] = 0
-        frontier = np.zeros(1, dtype=np.intp)
-        dist = 0
-        while frontier.size:
-            dist += 1
-            for step in steps:
-                nxt = frontier ^ step
-                weights[nxt[weights[nxt] == unseen]] = dist
-            frontier = np.flatnonzero(weights == dist)
+        self._take = np.zeros((length, (syndromes.size + 7) // 8), dtype=np.uint8)
+        for i in reversed(range(length)):
+            via = weights[syndromes ^ self.units[i]] + 1
+            self._take[i] = np.packbits(via < weights, bitorder="little")
+            np.minimum(weights, via, out=weights)
         self.weights = weights
 
     def syndrome(self, v: int) -> int:
@@ -470,6 +462,15 @@ class SyndromeTable:
         v = 0
         for i, col in enumerate(self.free):
             v |= ((s >> i) & 1) << col
+        return v
+
+    def leader(self, s: int) -> int:
+        """The lexicographically smallest minimum-weight vector of syndrome s."""
+        v = 0
+        for i, take in enumerate(self._take):
+            if (take[s >> 3] >> (s & 7)) & 1:
+                v |= 1 << i
+                s ^= self.units[i]
         return v
 
     def coset_weights(self, vectors: Iterable[int]) -> list[int]:

@@ -420,8 +420,12 @@ class DescentReport:
     first depends on the input's labels); ``labeled_copies`` keeps every
     distinct identity-labeled minimal output encountered on the way (the
     same structure reappears under many labelings, one per reduction
-    path).  ``already_minimal`` is true when the root's scan finished and
-    found no reducible magic matrix."""
+    path).  Only one labelled copy of each intermediate class is expanded,
+    and which one depends on the input's labels, so on deeper searches
+    ``len(labeled_copies)`` does too: relabellings of one input can give
+    different counts while the classes, nodes and matrices agree.
+    ``already_minimal`` is true when the root's scan finished and found no
+    reducible magic matrix."""
 
     minimal: tuple[Hypergraph, ...]  # one representative per isomorphism class
     labeled_copies: tuple[Hypergraph, ...]

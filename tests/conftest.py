@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from magicsets import datasets
-from magicsets.gf2 import BitMatrix
+from magicsets.gf2 import BitMatrix, Echelon
 from magicsets.gram import is_reduced, valid_gram_space
 from magicsets.hypergraph import Hypergraph
 from magicsets.reduce import reduce_with
@@ -95,3 +96,32 @@ def hb_descendants(max_dim: int) -> list[Hypergraph]:
         if 1 <= d <= max_dim:
             children.setdefault(d, child)
     return [children[d] for d in sorted(children)]
+
+
+def bfs_syndrome_weights(row_space: Echelon, length: int) -> np.ndarray:
+    """Coset-leader weight of every syndrome of row_space, by a numpy
+    layered breadth-first search from syndrome 0 whose steps are the unit
+    syndromes.
+
+    The table constructor the suffix dynamic program of
+    ``gf2.SyndromeTable`` replaced, kept as its oracle; syndromes compress
+    ``row_space.reduce(v)`` onto the free columns, as the table does.
+    """
+    free = [j for j in range(length) if j not in row_space.pivots]
+    units = []
+    for j in range(length):
+        r = row_space.reduce(1 << j)
+        units.append(sum(((r >> col) & 1) << i for i, col in enumerate(free)))
+    steps = np.unique(units)
+    unseen = np.iinfo(np.uint8).max  # a coset leader weighs at most codim
+    weights = np.full(1 << len(free), unseen, dtype=np.uint8)
+    weights[0] = 0
+    frontier = np.zeros(1, dtype=np.intp)
+    dist = 0
+    while frontier.size:
+        dist += 1
+        for step in steps:
+            nxt = frontier ^ step
+            weights[nxt[weights[nxt] == unseen]] = dist
+        frontier = np.flatnonzero(weights == dist)
+    return weights

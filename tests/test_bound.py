@@ -25,9 +25,9 @@ from magicsets.gf2 import (
     BitMatrix,
     BitVector,
     CosetTooLargeError,
-    DEFAULT_COSET_CAP,
     Echelon,
     SyndromeTable,
+    _min_weight_dfs,
     _rank_rows,
     _span_blocks,
     coset_min_weight,
@@ -37,19 +37,28 @@ from magicsets.gram import (
     NoMagicGramError,
     _gray_enumerate,
     magic_parity,
+    min_qubits,
     valid_gram_space,
 )
 from magicsets.hypergraph import Hypergraph, incidence_matrix, parse_edge_list
 from magicsets.orbits import ms327_hypergraph
 
-from conftest import hb_descendants, random_proper_eulerian, relabelled, seeded_magic_grams
+from conftest import (
+    bfs_syndrome_weights,
+    hb_descendants,
+    random_proper_eulerian,
+    relabelled,
+    seeded_magic_grams,
+)
 
 #: hypergraph_bound(...).to_json_dict() per bundled structure and route.
 #: Most entries were written by the implementation that synthesized one
 #: assignment per magic Gram matrix and searched each coset on its own.
-#: HD's all-assignments entry, HB and the all-assignments entries of HA,
-#: HC, MS3-29 and MS6-35 (too slow for that implementation) were written
-#: with coset weights from a SyndromeTable, which the oracles below check.
+#: HB and the all-assignments entries of HA, HC, MS3-29 and MS6-35 (too
+#: slow for that implementation) were written with coset weights from a
+#: SyndromeTable, which the oracles below check.  Both HD entries were
+#: rewritten once the table's leaders made every coset search exact there
+#: (its row space has rank 36, past the old cap on searched dimensions).
 #: Rewrite named entries with ``PYTHONPATH=src python tests/test_bound.py
 #: NAME...`` (only when an output change is intended).
 GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "hypergraph_bound_golden.json"
@@ -123,16 +132,19 @@ def pauli_reps(h: Hypergraph) -> tuple[Echelon, list[int]]:
 
 
 def assert_weights_match_oracles(h: Hypergraph, row_space: Echelon, reps: list[int]) -> None:
-    """The table, and bound._coset_weights, against per-rep coset_min_weight
-    (uncapped) and, up to rank 25, the shared enumeration."""
+    """The table, and bound._coset_weights, against the breadth-first table,
+    the per-rep branch-and-bound search (weight and witness) and, up to
+    rank 25, the shared enumeration."""
     n = h.num_edges
     table = SyndromeTable(row_space, n)
+    assert table.weights.tolist() == bfs_syndrome_weights(row_space, n).tolist()
     got = table.coset_weights(reps)
-    row_vecs = [BitVector(n, row) for row in row_space.pivots.values()]
-    assert got == [coset_min_weight(row_vecs, BitVector(n, rep), cap=n)[0] for rep in reps]
+    basis = row_space.rref()
+    searched = [_min_weight_dfs(basis, rep, n) for rep in reps]
+    assert searched == [(w, table.leader(table.syndrome(rep))) for w, rep in zip(got, reps)]
     if row_space.rank <= 25:
         assert got == shared_enumeration_oracle(row_space, reps, n)
-    assert bound._coset_weights(row_space, reps, n, DEFAULT_COSET_CAP) == (got, True)
+    assert bound._coset_weights(row_space, reps, n) == (got, True)
 
 
 class TestNoncontextualBound:
@@ -224,11 +236,24 @@ class TestNoncontextualBound:
         with pytest.raises(ValueError):
             noncontextual_bound(square.hypergraph, BitVector.zero(5))
 
-    def test_capped_coset_flags_inexact(self, entries):
-        e = entries["MS6-35"]
-        rep = noncontextual_bound(e.hypergraph, signs(e), coset_cap=5)
+    def test_capped_coset_flags_inexact(self):
+        # K_33 as a 2-uniform hypergraph: 528 contexts, row-space rank 32
+        # (past DEFAULT_COSET_CAP) and codimension 496 (past the table).
+        h = Hypergraph.from_edges([[a, b] for a in range(1, 34) for b in range(a + 1, 34)], 33)
+        n = h.num_edges
+        assert (n, Echelon(incidence_matrix(h).rows).rank) == (528, 32)
+        c = BitVector(n, (1 << n) - 1 >> 1)  # every context but the last: odd
+        rep = noncontextual_bound(h, c)
         assert not rep.exact
-        assert rep.b <= 36 - 2  # a genuine upper bound on w_min gives a lower b
+        assert rep.b <= n - 2  # a genuine upper bound on w_min gives a lower b
+
+    @pytest.mark.parametrize("name", datasets.NAMES)
+    def test_catalog_signs_exact(self, entries, name):
+        """Exact on the signs ``check``/``assign`` synthesize at the minimum qubit count."""
+        h = entries[name].hypergraph
+        mq = min_qubits(h)
+        rep = noncontextual_bound(h, assignment_from_gram(h, mq.gram, mq.qubits).context_signs)
+        assert rep.exact and rep.magic_signs
 
 
 class TestBruteForce:
@@ -362,28 +387,37 @@ class TestSyndromeTable:
     def test_hd_weights_from_all_light_vectors(self, entries):
         """HD's table equals the least weight hitting each coset, found by
         listing every vector of weight <= 5 in GF(2)^45 (about 1.39 M);
-        every coset is hit, so no coset leader weighs more than 5."""
+        every coset is hit, so no coset leader weighs more than 5.  The
+        lexicographically smallest of those lightest vectors is the
+        table's leader."""
         h = entries["HD"].hypergraph
         n = h.num_edges
         row_space = Echelon(incidence_matrix(h).rows)
         # Reduction is linear: a vector's coset rep is the XOR of its units' reps.
         unit = np.array([row_space.reduce(1 << j) for j in range(n)], dtype=np.uint64)
-        reps, last = np.zeros(1, dtype=np.uint64), np.full(1, -1)
-        least: dict[int, int] = {0: 0}
+        # Coordinate j is bit n-1-j of ``rev``, so the least rev is lex-least.
+        reps, rev, last = np.zeros(1, dtype=np.uint64), np.zeros(1, dtype=np.uint64), np.full(1, -1)
+        least: dict[int, tuple[int, int]] = {0: (0, 0)}  # rep -> (weight, lex-least vector)
         for w in range(1, 6):
-            grown = [(reps[last < j] ^ unit[j], np.full(int((last < j).sum()), j)) for j in range(n)]
-            reps = np.concatenate([r for r, _ in grown])
-            last = np.concatenate([l for _, l in grown])
-            for rep in np.unique(reps).tolist():
-                least.setdefault(rep, w)
+            grown = [(last < j, j) for j in range(n)]
+            reps = np.concatenate([reps[keep] ^ unit[j] for keep, j in grown])
+            rev = np.concatenate([rev[keep] | np.uint64(1 << (n - 1 - j)) for keep, j in grown])
+            last = np.concatenate([np.full(int(keep.sum()), j) for keep, j in grown])
+            order = np.lexsort((rev, reps))
+            _, first = np.unique(reps[order], return_index=True)
+            for rep, r in zip(reps[order][first].tolist(), rev[order][first].tolist()):
+                least.setdefault(rep, (w, int(f"{r:0{n}b}"[::-1], 2)))
         table = SyndromeTable(row_space, n)
         assert len(least) == len(table.weights) == 1 << 9
-        assert {table.syndrome(rep): w for rep, w in least.items()} == dict(enumerate(table.weights.tolist()))
-        odd = [w for rep, w in least.items() if rep.bit_count() % 2]
+        assert {table.syndrome(rep): w for rep, (w, _) in least.items()} == dict(enumerate(table.weights.tolist()))
+        assert all(table.leader(table.syndrome(rep)) == v for rep, (_, v) in least.items())
+        odd = [w for rep, (w, _) in least.items() if rep.bit_count() % 2]
         assert (len(odd), max(odd)) == (256, 5)
         every = hypergraph_bound(h, pauli_only=False)
-        assert least[row_space.reduce(every.maximizing_signs.bits)] == 5
-        assert (every.report.w_min, every.report.b, every.exact) == (5, 35, False)
+        assert least[row_space.reduce(every.maximizing_signs.bits)][0] == 5
+        assert (every.report.w_min, every.report.b, every.exact) == (5, 35, True)
+        pauli = hypergraph_bound(h, pauli_only=True)
+        assert (pauli.report.w_min, pauli.report.b, pauli.exact) == (5, 35, True)
 
 
 class TestRoutes:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,17 +14,20 @@ from magicsets.gf2 import (
     BitVector,
     CosetTooLargeError,
     Echelon,
+    SyndromeTable,
     coset_min_weight,
     in_row_space,
     null_space_basis,
     rank,
     row_combination,
     solve_affine,
+    _TABLE_CODIM,
     _min_weight_dfs,
-    _min_weight_numpy,
     _span_blocks,
 )
 from magicsets.reduce import _has_reducible_magic_matrix
+
+from conftest import bfs_syndrome_weights
 
 
 def _echelon(rows):
@@ -270,6 +274,20 @@ class TestSolveAffine:
             solve_affine([-1], [0], 2)
 
 
+def min_weight_numpy(basis_rows: list[int], offset: int, length: int) -> tuple[int, int]:
+    """Enumerate the full coset with numpy popcounts (length <= 64 only).
+
+    The enumeration ``coset_min_weight`` ran up to span dimension 22
+    before the syndrome table replaced it, kept as an oracle.
+    """
+    elems = next(_span_blocks([offset], [[b] for b in basis_rows], len(basis_rows))).ravel()
+    weights = np.bitwise_count(elems)
+    w = int(weights.min())
+    candidates = elems[weights == w]
+    best = min((int(c) for c in candidates), key=lambda c: tuple((c >> i) & 1 for i in range(length)))
+    return w, best
+
+
 def naive_coset_min(basis_bits: list[int], offset: int, length: int) -> tuple[int, int]:
     """Independent re-enumeration of the whole coset, kept deliberately dumb."""
     best = None
@@ -403,12 +421,13 @@ class TestCosetMinWeight:
             if not basis:
                 continue
             offset = rng.getrandbits(n)
-            assert _min_weight_dfs(basis, offset, n) == _min_weight_numpy(
+            assert _min_weight_dfs(basis, offset, n) == min_weight_numpy(
                 [b for _, b in basis], offset, n
             )
 
     def test_cap_exceeded(self):
-        n = 40
+        # Codimension 35 is past the syndrome table, so the capped search runs.
+        n = 70
         basis = [BitVector(n, 0b11 << i) for i in range(0, 35)]
         offset = BitVector(n, (1 << n) - 1)
         with pytest.raises(CosetTooLargeError) as err:
@@ -420,6 +439,63 @@ class TestCosetMinWeight:
     def test_mixed_lengths_rejected(self):
         with pytest.raises(ValueError):
             coset_min_weight([bv(1, 0)], bv(1, 0, 0))
+
+    def test_table_route_exact_past_cap(self):
+        # Rank 40 is past cap 30, but codimension 5 puts it in the table.
+        n = 45
+        basis = [BitVector(n, 0b11 << i) for i in range(0, 40)]
+        offset = BitVector(n, 1)
+        assert n - 40 <= _TABLE_CODIM
+        w, witness = coset_min_weight(basis, offset, cap=30)
+        # The coset of e_0 holds every e_j with j <= 40; e_40 is lex-least.
+        assert (w, witness.bits) == (1, 1 << 40)
+
+
+class TestSyndromeTableAgainstOracles:
+    """The suffix-DP table against the BFS it replaced and the two searches."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_row_spaces(self, seed):
+        rng = random.Random(8000 + seed)
+        for _ in range(6):
+            n = rng.randint(1, 100)
+            codim = rng.randint(0, min(16, n))
+            ech = Echelon()
+            while ech.rank < n - codim:
+                # Sparse rows as well as dense ones, so leaders vary in weight.
+                ech.insert(rng.getrandbits(n) & rng.getrandbits(n) if rng.random() < 0.5 else rng.getrandbits(n))
+            table = SyndromeTable(ech, n)
+            assert len(table.free) == codim
+            assert table.weights.tolist() == bfs_syndrome_weights(ech, n).tolist()
+            basis = ech.rref()
+            sample = [rng.randrange(1 << codim) for _ in range(8)]
+            for k, s in enumerate(sample):
+                leader = table.leader(s)
+                assert table.syndrome(leader) == s
+                assert leader.bit_count() == table.weights[s]
+                if k >= 2:  # the branch-and-bound search is slow at high rank
+                    continue
+                x = rng.getrandbits(n)
+                offset = table.lift(s) ^ x ^ ech.reduce(x)  # lift(s) + a row-space element
+                assert _min_weight_dfs(basis, ech.reduce(offset), n) == (table.weights[s], leader)
+                if n <= 64 and ech.rank <= 20:
+                    assert min_weight_numpy([b for _, b in basis], offset, n) == (table.weights[s], leader)
+
+    def test_paths_across_byte_slices(self):
+        # Rows e_i + e_(i+1) link coordinates into paths cut after the
+        # listed coordinates; a syndrome bit per path, whose lex-least unit
+        # is the path's last coordinate.
+        n, cuts = 97, (10, 30, 50, 70, 90)
+        ech = Echelon((1 << i) | (1 << (i + 1)) for i in range(n - 1) if i not in cuts)
+        table = SyndromeTable(ech, n)
+        lasts = [*cuts, n - 1]
+        units = [table.syndrome(1 << j) for j in lasts]
+        assert sorted(units) == [1 << k for k in range(len(lasts))]
+        assert table.weights.tolist() == [s.bit_count() for s in range(1 << len(lasts))]
+        assert table.weights.tolist() == bfs_syndrome_weights(ech, n).tolist()
+        for s in range(1 << len(lasts)):
+            want = sum(1 << j for j, u in zip(lasts, units) if s & u)
+            assert table.leader(s) == want
 
 
 class TestEchelonAgainstOracles:
