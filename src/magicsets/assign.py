@@ -3,9 +3,9 @@
 The search only places vectors on a row basis B of the Gram matrix: a
 candidate for the next basis vertex must hit prescribed symplectic
 products against the vectors already chosen, which is a linear system, so
-candidates are enumerated as its solution space.  Every other vertex is a
-GF(2) combination of basis rows and inherits the combination applied to
-the chosen vectors; this linear extension automatically covers zero rows
+candidates are its solution space, generated lazily in ascending order.
+Every other vertex is a GF(2) combination of basis rows and inherits the
+combination applied to the chosen vectors; this linear extension automatically covers zero rows
 (identity operator) and repeated rows (repeated operator), and makes the
 edge sums vanish because a valid Gram matrix's rows sum to zero on every
 context.
@@ -16,7 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .gf2 import BitMatrix, Echelon, null_space_basis, rank, row_combination, solve_affine
+from .gf2 import (
+    BitMatrix,
+    Echelon,
+    _ascending_span,
+    null_space_basis,
+    rank,
+    row_combination,
+    solve_affine,
+)
 from .hypergraph import Hypergraph
 from .pauli import MagicAssignment, PauliString
 from .gram import validate_gram
@@ -76,12 +84,8 @@ def _basis_assignments(
         sol = _solution_space(constraints, dim)
         if sol is None:
             return
-        particular, kernel = sol
-        candidates = [particular]
-        for kv in kernel:
-            candidates = candidates + [c ^ kv for c in candidates]
         span = Echelon(chosen)
-        for cand in sorted(candidates):
+        for cand in _ascending_span(*sol):
             # Basis rows are independent, so their vectors must be too (and nonzero).
             if span.reduce(cand):
                 yield from descend(chosen + [cand])

@@ -288,7 +288,8 @@ def hypergraph_bound(
     suffix dynamic program over its 2^codim syndromes, about n * 2^codim
     steps, after which each coset's exact minimum weight is a lookup.  The
     all-assignments route selects the odd-popcount syndromes with numpy
-    (its codimension is at most ``gram_cap`` + 1).  The Pauli-only route
+    (its codimension is at most ``gram_cap`` + 1, and at most 22, past
+    which it raises ValueError).  The Pauli-only route
     uses the table when codim <= 22 and otherwise searches each coset with
     ``coset_min_weight``.
 
@@ -336,10 +337,9 @@ def hypergraph_bound(
     else:
         exact = True
         codim = n - ech.rank
-        if codim - 1 > gram_cap:
-            raise ValueError(
-                f"odd-coset enumeration needs 2^{codim - 1} cosets, over cap {gram_cap}"
-            )
+        cap = min(gram_cap, _TABLE_CODIM - 1)  # the table holds 2^codim syndromes
+        if codim - 1 > cap:
+            raise ValueError(f"odd-coset enumeration needs 2^{codim - 1} cosets, over cap {cap}")
         # A representative supported on the free columns is its own
         # syndrome; rows of a proper Eulerian incidence matrix are even, so
         # coset parity is the representative's parity and the odd cosets

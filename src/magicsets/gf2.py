@@ -229,13 +229,9 @@ class Echelon:
         return sorted(reduced.items())
 
 
-def _rank_rows(rows: Iterable[int]) -> int:
-    """GF(2) rank of int-bitmask rows; tight loop used by enumerations.
-
-    Pivots on the highest set bit, which the rank does not depend on and
-    which needs no lowest-bit extraction per step.
-    """
-    basis: dict[int, int] = {}  # highest set bit -> reduced row
+def _top_basis(rows: Iterable[int]) -> dict[int, int]:
+    """An echelon basis of the span of rows, keyed by each row's highest set bit."""
+    basis: dict[int, int] = {}
     for row in rows:
         while row:
             hb = row.bit_length() - 1
@@ -244,7 +240,16 @@ def _rank_rows(rows: Iterable[int]) -> int:
                 basis[hb] = row
                 break
             row ^= other
-    return len(basis)
+    return basis
+
+
+def _rank_rows(rows: Iterable[int]) -> int:
+    """GF(2) rank of int-bitmask rows.
+
+    Pivots on the highest set bit, which the rank does not depend on and
+    which needs no lowest-bit extraction per step.
+    """
+    return len(_top_basis(rows))
 
 
 def rank(m: BitMatrix) -> int:
@@ -339,6 +344,82 @@ def _span_blocks(
         yield block ^ shift
 
 
+def _block_ranks(block: np.ndarray, bound: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """GF(2) ranks of a block of matrices, keeping those of rank <= bound.
+
+    ``block`` is (count, rows, W) uint64: row bit c is bit c % 64 of word
+    c // 64.  Columns are eliminated from the highest down, over the whole
+    block at once.  Every column above the current one is already clear,
+    so a row holds the current bit exactly when its current word is at
+    least that bit, and the row with the largest word is a pivot whenever
+    any row holds it.  The pivot row is XORed into every row holding the
+    bit, itself included, so it drops out as zero and the column is clear
+    afterwards.  A matrix whose rank so far exceeds ``bound`` (at least 0)
+    is dropped at once.  Returns (ranks, indices into the block) of the survivors, in
+    block order.
+    """
+    count, _, width = block.shape
+    a = np.array(block.transpose(2, 1, 0), dtype=np.uint64, order="C")  # (W, rows, count)
+    ranks = np.zeros(count, dtype=np.int64)
+    index = np.arange(count)
+    for w in reversed(range(width)):
+        # XORs never set a bit that no row holds, so absent columns stay absent.
+        present = int(np.bitwise_or.reduce(a[w], axis=None)) if a.size else 0
+        while present:
+            low = 1 << (present.bit_length() - 1)
+            present ^= low
+            low = np.uint64(low)
+            word = a[w]
+            if width == 1:  # the common case, and a reduction is cheaper than a gather
+                pivot = word.max(axis=0)[None, None, :]
+            else:
+                pivot = np.take_along_axis(a, word.argmax(axis=0)[None, None, :], axis=1)
+            head = a[: w + 1]  # words above w are zero everywhere
+            np.bitwise_xor(head, pivot[: w + 1], out=head, where=word >= low)
+            ranks += pivot[w, 0] >= low
+            if bound is not None:
+                keep = ranks <= bound
+                if not keep.all():
+                    a, ranks, index = a[:, :, keep], ranks[keep], index[keep]
+    return ranks, index
+
+
+def _ascending_span(offset: int, basis: Sequence[int]) -> Iterator[int]:
+    """All elements of offset + span(basis), each once, in ascending order.
+
+    The basis is brought to fully reduced form on highest set bits: each
+    vector's highest bit is set in no other vector, and the offset is
+    cleared on those bits, which makes it the least element.  With the
+    vectors sorted by highest bit, the element of coefficient mask c is
+    offset ^ XOR{vec[i] : bit i of c}, and two masks order their elements
+    as they order themselves: at the highest differing coefficient i, both
+    elements agree above vec[i]'s highest bit and differ on it, where only
+    the one with c_i = 1 is set.  So counting c up in binary walks the
+    space in ascending order; step c flips the coefficients below and at
+    c's lowest set bit.
+    """
+    top = _top_basis(basis)
+    tops = sorted(top)
+    vecs: list[int] = []  # final vectors, by ascending top
+    for hb in tops:
+        row = top[hb]
+        for low, vec in zip(tops, vecs):  # the lower tops; vec is zero on the others
+            if (row >> low) & 1:
+                row ^= vec
+        vecs.append(row)
+    for hb, vec in zip(tops, vecs):
+        if (offset >> hb) & 1:
+            offset ^= vec
+    flips, acc = [], 0
+    for vec in vecs:
+        acc ^= vec
+        flips.append(acc)
+    yield offset
+    for c in range(1, 1 << len(vecs)):
+        offset ^= flips[(c & -c).bit_length() - 1]
+        yield offset
+
+
 def _min_weight_dfs(basis: list[tuple[int, int]], offset: int, length: int) -> tuple[int, int]:
     """Branch-and-bound over an echelon basis, pruning on fixed-prefix weight.
 
@@ -419,12 +500,18 @@ class SyndromeTable:
     syndrome marks where the second term is strictly smaller, so
     ``leader`` sets a coordinate only where it must, which gives the
     lexicographically smallest minimum-weight vector.  It costs about
-    length * 2^codim array steps and length * 2^codim / 8 bytes.
+    length * 2^codim array steps and length * 2^codim / 8 bytes, so a
+    codimension above ``_TABLE_CODIM`` raises ValueError.
     """
 
     __slots__ = ("free", "units", "weights", "_take", "_byte_syndromes")
 
     def __init__(self, row_space: Echelon, length: int):
+        codim = length - row_space.rank
+        if codim > _TABLE_CODIM:
+            raise ValueError(
+                f"syndrome table of codimension {codim} exceeds _TABLE_CODIM = {_TABLE_CODIM}"
+            )
         self.free = [j for j in range(length) if j not in row_space.pivots]
         self.units = []
         for j in range(length):

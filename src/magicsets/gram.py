@@ -15,7 +15,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .gf2 import BitMatrix, _rank_rows, null_space_basis, solve_affine
+import numpy as np
+
+from .gf2 import BitMatrix, _block_ranks, _span_blocks, null_space_basis, solve_affine
 from .hypergraph import Hypergraph, is_proper_eulerian
 
 
@@ -59,8 +61,55 @@ def _cocontext_pairs(h: Hypergraph) -> set[tuple[int, int]]:
     return pairs
 
 
+@lru_cache(maxsize=4096)
+def _validity_masks(h: Hypergraph) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Per row, the mask of its co-contextual columns; per context, its
+    distinct members (0-based)."""
+    masks = [0] * h.vertex_count
+    for i, j in _cocontext_pairs(h):
+        masks[i] |= 1 << j
+        masks[j] |= 1 << i
+    members = tuple(tuple(sorted(set(v - 1 for v in e))) for e in h.edges)
+    return tuple(masks), members
+
+
+def _valid_rows(h: Hypergraph, rows: Sequence[int]) -> bool:
+    """The valid-Gram conditions on an m x m matrix, bit-parallel per row."""
+    masks, members = _validity_masks(h)
+    for i, (row, mask) in enumerate(zip(rows, masks)):
+        if row & mask or (row >> i) & 1:
+            return False
+        # Symmetry: every set bit (i, j) needs (j, i); a bit set only at
+        # (j, i) is caught on row j.
+        rest = row
+        while rest:
+            low = rest & -rest
+            if not (rows[low.bit_length() - 1] >> i) & 1:
+                return False
+            rest ^= low
+    for context in members:
+        acc = 0
+        for v in context:
+            acc ^= rows[v]
+        if acc:
+            return False
+    return True
+
+
 def validate_gram(h: Hypergraph, g: BitMatrix) -> list[str]:
-    """Violations of the valid-Gram conditions; empty list means valid."""
+    """Violations of the valid-Gram conditions; empty list means valid.
+
+    A bit-parallel check decides validity; only an invalid matrix runs the
+    entry-by-entry loop that words its problems.
+    """
+    m = h.vertex_count
+    if g.cols == m and g.num_rows == m and _valid_rows(h, g.rows):
+        return []
+    return _gram_problems(h, g)
+
+
+def _gram_problems(h: Hypergraph, g: BitMatrix) -> list[str]:
+    """Every violation of the valid-Gram conditions, entry by entry, in a fixed order."""
     m = h.vertex_count
     problems = []
     if g.cols != m or g.num_rows != m:
@@ -180,11 +229,15 @@ def _matrix_from_pair_bits(m: int, pairs: list[tuple[int, int]], bits: int) -> B
     return BitMatrix(m, tuple(rows))
 
 
+@lru_cache(maxsize=256)
 def valid_gram_space(h: Hypergraph) -> GramSpace:
     """Solve the validity conditions for a basis of the valid Gram space.
 
     Unknowns are the off-diagonal entries on pairs not sharing any context;
     every context contributes one row-sum equation per vertex column.
+    Results are cached per hypergraph (``GramSpace`` is frozen and holds
+    only tuples), so the callers that each need the space of one
+    hypergraph share a single solve.
     """
     ok, diag = is_proper_eulerian(h)
     if not ok:
@@ -258,12 +311,47 @@ class MinQubitsResult:
     total: int  # size of the magic affine space
 
 
+#: The exact scan ranks the magic space in blocks of 2^_RANK_BLOCK matrices.
+_RANK_BLOCK = 14
+
+_WORD = (1 << 64) - 1
+
+
+def _words(g: BitMatrix, width: int) -> list[int]:
+    """The rows of g as ``width`` 64-bit words each, low word first."""
+    return [(row >> (64 * j)) & _WORD for row in g.rows for j in range(width)]
+
+
+def _matrix_of_words(m: int, words: np.ndarray) -> BitMatrix:
+    """Inverse of ``_words`` on one (m * width,) word vector."""
+    rows = words.reshape(m, -1)
+    return BitMatrix(m, tuple(sum(int(w) << (64 * j) for j, w in enumerate(row)) for row in rows))
+
+
+def _gray_index(x: np.ndarray) -> np.ndarray:
+    """The Gray-code step s at which s ^ (s >> 1) == x: prefix XORs of x's bits."""
+    s = x.copy()
+    for shift in (1, 2, 4, 8, 16, 32):
+        s ^= s >> np.uint64(shift)
+    return s
+
+
 def min_qubits(h: Hypergraph, enumeration_cap: int = 24) -> MinQubitsResult:
     """Half the minimum binary rank over all magic Gram matrices of h.
 
     Exact (flagged) when the magic affine space has dimension at most
     ``enumeration_cap``; beyond that, the best upper bound over sampled
     combinations of basis elements is returned with exact=False.
+
+    The exact scan ranks all 2^d matrices offset + span(nonmagic_basis)
+    with ``gf2._block_ranks``, a block of 2^14 at a time, dropping every
+    matrix ranked above the least rank of the blocks before.  The witness
+    is, among the matrices of least rank, the one with the least Gray
+    index: Gray step s visits coefficient vector s ^ (s >> 1), one basis
+    flip per step from the offset at s = 0, and the first matrix of least
+    rank on that walk is the witness.  The sampled branch's witness is the
+    first of least rank in its candidate list: the offset, then its single
+    and pair basis shifts.
     """
     space = valid_gram_space(h)
     if space.magic_offset is None:
@@ -271,31 +359,36 @@ def min_qubits(h: Hypergraph, enumeration_cap: int = 24) -> MinQubitsResult:
     offset = space.magic_offset
     d = len(space.nonmagic_basis)
     total = 1 << d
+    m = h.vertex_count
+    width = (m + 63) // 64
 
     if d <= enumeration_cap:
-        best_rank = None
-        best_rows = None
-        searched = 0
-        basis_rows = [list(b.rows) for b in space.nonmagic_basis]
-        for _, rows in _gray_enumerate(list(offset.rows), basis_rows):
-            searched += 1
-            r = _rank_rows(rows)
-            if best_rank is None or r < best_rank:
-                best_rank = r
-                best_rows = tuple(rows)
-        return MinQubitsResult(best_rank // 2, True, BitMatrix(h.vertex_count, best_rows), searched, total)
+        low = min(d, _RANK_BLOCK)
+        basis = [_words(b, width) for b in space.nonmagic_basis]
+        best = None  # (rank, Gray index, words)
+        for number, block in enumerate(_span_blocks(_words(offset, width), basis, low)):
+            bound = None if best is None else best[0]
+            ranks, index = _block_ranks(block.reshape(-1, m, width), bound)
+            if not len(ranks):
+                continue
+            r = int(ranks.min())
+            tied = index[ranks == r]
+            gray = _gray_index(tied.astype(np.uint64) | np.uint64(number << low))
+            i = int(np.argmin(gray))
+            if best is None or (r, int(gray[i])) < best[:2]:
+                best = (r, int(gray[i]), block[tied[i]])
+        return MinQubitsResult(best[0] // 2, True, _matrix_of_words(m, best[2]), total, total)
 
     # Sampled upper bound: offset alone, plus all single and pair basis shifts.
-    candidates = [offset]
-    for i in range(d):
-        candidates.append(offset ^ space.nonmagic_basis[i])
-    for i in range(d):
-        for j in range(i + 1, d):
-            candidates.append(offset ^ space.nonmagic_basis[i] ^ space.nonmagic_basis[j])
-    best = min(candidates, key=lambda g: _rank_rows(list(g.rows)))
-    return MinQubitsResult(
-        _rank_rows(list(best.rows)) // 2, False, best, len(candidates), total
-    )
+    off = np.array(_words(offset, width), dtype=np.uint64)
+    vecs = np.array([_words(b, width) for b in space.nonmagic_basis], dtype=np.uint64)
+    vecs = vecs.reshape(d, len(off))
+    i, j = np.triu_indices(d, 1)  # pairs i < j, by i then j
+    block = np.concatenate([off[None], off ^ vecs, off ^ vecs[i] ^ vecs[j]])
+    ranks, _ = _block_ranks(block.reshape(-1, m, width))
+    first = int(np.argmin(ranks))
+    witness = _matrix_of_words(m, block[first])
+    return MinQubitsResult(int(ranks[first]) // 2, False, witness, len(block), total)
 
 
 def is_reduced(g: BitMatrix) -> bool:

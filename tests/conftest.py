@@ -1,15 +1,23 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import numpy as np
 import pytest
 
-from magicsets import datasets
+from magicsets import datasets, gram
 from magicsets.gf2 import BitMatrix, Echelon
 from magicsets.gram import is_reduced, valid_gram_space
 from magicsets.hypergraph import Hypergraph
 from magicsets.reduce import reduce_with
+
+
+@pytest.fixture(autouse=True)
+def fresh_gram_space_cache():
+    """Empty the per-hypergraph cache of ``valid_gram_space`` before each
+    test, so a test that patches the solve behind it sees its patch used."""
+    gram.valid_gram_space.cache_clear()
 
 
 @pytest.fixture(scope="session")
@@ -66,6 +74,28 @@ def relabelled(h: Hypergraph, rng: random.Random) -> Hypergraph:
     edges = [[perm[v - 1] for v in e] for e in h.edges]
     rng.shuffle(edges)
     return Hypergraph.from_edges(edges, h.vertex_count)
+
+
+def disjoint_union(*hs: Hypergraph) -> Hypergraph:
+    """The hypergraphs side by side, vertices numbered on in argument order."""
+    edges, offset = [], 0
+    for h in hs:
+        edges += [[v + offset for v in e] for e in h.edges]
+        offset += h.vertex_count
+    return Hypergraph.from_edges(edges, offset)
+
+
+def rigid_blocks(copies: int) -> Hypergraph:
+    """``copies`` disjoint copies of all 20 triples of 6 vertices.
+
+    Every vertex lies in 10 triples and every vertex pair shares one, so
+    the valid Gram space is zero.  No nonempty vertex set meets every
+    triple evenly, so beside a hypergraph h in a disjoint union the block
+    between them has no valid nonzero entries: the union's valid Gram
+    space is h's, and its incidence codimension is h's plus 14 per copy.
+    """
+    triples = [list(t) for t in itertools.combinations(range(1, 7), 3)]
+    return disjoint_union(*[Hypergraph.from_edges(triples, 6)] * copies)
 
 
 def seeded_magic_grams(h: Hypergraph, rng: random.Random, count: int) -> list[BitMatrix]:

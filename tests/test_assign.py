@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 
+from magicsets import assign, datasets
 from magicsets.assign import (
     RankObstructionError,
+    SynthesisBudgetError,
+    _solution_space,
     assignment_from_gram,
     enumerate_assignments,
 )
-from magicsets.gf2 import rank
-from magicsets.gram import valid_gram_space
+from magicsets.gf2 import Echelon, rank
+from magicsets.gram import min_qubits, valid_gram_space
 from magicsets.hypergraph import parse_edge_list
 from magicsets.pauli import decode, encode, gram_matrix_of, verify_assignment
 
@@ -128,3 +133,57 @@ def test_min_qubit_witness_round_trip(entries):
         report = verify_assignment(e.hypergraph, a)
         assert report.valid and report.magic
         assert rank(gram_matrix_of(a.strings)) == 2 * res.qubits
+
+
+def sorted_candidate_descent(g, basis_idx, k, budget, state):
+    """The synthesis descent that ``assign._basis_assignments`` replaced,
+    kept as its oracle: every candidate of a basis vertex is built and
+    sorted before the first is tried."""
+    dim = 2 * k
+    r = len(basis_idx)
+
+    def descend(chosen):
+        state.nodes += 1
+        if state.nodes > budget:
+            raise SynthesisBudgetError(f"budget of {budget} nodes exhausted")
+        t = len(chosen)
+        if t == r:
+            yield list(chosen)
+            return
+        i_t = basis_idx[t]
+        sol = _solution_space([(chosen[s], g.entry(i_t, basis_idx[s])) for s in range(t)], dim)
+        if sol is None:
+            return
+        particular, kernel = sol
+        candidates = [particular]
+        for kv in kernel:
+            candidates = candidates + [c ^ kv for c in candidates]
+        span = Echelon(chosen)
+        for cand in sorted(candidates):
+            if span.reduce(cand):
+                yield from descend(chosen + [cand])
+
+    yield from descend([])
+
+
+class TestLazyDescentAgainstSortedCandidates:
+    @pytest.mark.parametrize("name", datasets.NAMES)
+    def test_same_stream(self, entries, name, monkeypatch):
+        h = entries[name].hypergraph
+        res = min_qubits(h)
+        for k in (res.qubits, res.qubits + 1):
+            got = [a.strings for a in enumerate_assignments(h, res.gram, k, limit=5)]
+            with monkeypatch.context() as patch:
+                patch.setattr(assign, "_basis_assignments", sorted_candidate_descent)
+                want = [a.strings for a in enumerate_assignments(h, res.gram, k, limit=5)]
+            assert got == want and len(got) == 5
+
+    def test_square_at_fourteen_qubits(self, square):
+        # The sorted descent built a 2^28-element candidate list here.
+        g = magic_gram(square)
+        start = time.perf_counter()
+        a = assignment_from_gram(square.hypergraph, g, 14)
+        assert time.perf_counter() - start < 1.0
+        report = verify_assignment(square.hypergraph, a)
+        assert report.valid and report.magic and a.qubits == 14
+        assert gram_matrix_of(a.strings) == g

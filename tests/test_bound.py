@@ -45,9 +45,11 @@ from magicsets.orbits import ms327_hypergraph
 
 from conftest import (
     bfs_syndrome_weights,
+    disjoint_union,
     hb_descendants,
     random_proper_eulerian,
     relabelled,
+    rigid_blocks,
     seeded_magic_grams,
 )
 
@@ -355,6 +357,14 @@ class TestHypergraphBound:
             hypergraph_bound(parse_edge_list("[[1,2],[2,3],[3,4],[4,1]]"))
         with pytest.raises(NoMagicGramError):
             hypergraph_bound(parse_edge_list("[[1,2],[2,3],[3,4],[4,1]]"), pauli_only=False)
+
+    def test_all_assignments_route_stops_at_table_codimension(self, entries):
+        # HD (codim 9) beside one rigid block (codim 14): codim 23, within a
+        # user gram_cap of 30 but past the table's 22.
+        h = disjoint_union(entries["HD"].hypergraph, rigid_blocks(1))
+        assert h.num_edges - Echelon(incidence_matrix(h).rows).rank == 23
+        with pytest.raises(ValueError, match=r"needs 2\^22 cosets, over cap 21"):
+            hypergraph_bound(h, pauli_only=False, gram_cap=30)
 
 
 class TestSyndromeTable:

@@ -22,7 +22,10 @@ from magicsets.gf2 import (
     row_combination,
     solve_affine,
     _TABLE_CODIM,
+    _ascending_span,
+    _block_ranks,
     _min_weight_dfs,
+    _rank_rows,
     _span_blocks,
 )
 from magicsets.reduce import _has_reducible_magic_matrix
@@ -451,6 +454,20 @@ class TestCosetMinWeight:
         assert (w, witness.bits) == (1, 1 << 40)
 
 
+class TestSyndromeTableGuard:
+    def test_codimension_over_table_cap_refused(self):
+        # Length 97, rank 48: a table of 2^49 syndromes would need petabytes.
+        n = 97
+        ech = Echelon((1 << i) | (1 << (i + 1)) for i in range(0, n - 1, 2))
+        assert n - ech.rank == 49
+        with pytest.raises(ValueError, match="_TABLE_CODIM"):
+            SyndromeTable(ech, n)
+
+    def test_codimension_just_over_cap_refused(self):
+        with pytest.raises(ValueError, match="_TABLE_CODIM"):
+            SyndromeTable(Echelon(), _TABLE_CODIM + 1)
+
+
 class TestSyndromeTableAgainstOracles:
     """The suffix-DP table against the BFS it replaced and the two searches."""
 
@@ -610,3 +627,58 @@ class TestSpanBlocks:
         scan = _has_reducible_magic_matrix(offset, nonmagic, gram_cap=d)
         assert scan == _has_reducible_magic_matrix(offset, nonmagic, gram_cap=d - 1)
         assert scan == (not gram.is_minimal(entries[name].hypergraph))
+
+
+def _as_words(rows, width):
+    return [[(r >> (64 * j)) & ((1 << 64) - 1) for j in range(width)] for r in rows]
+
+
+class TestBlockRanksAgainstRankRows:
+    """The block rank kernel against the per-matrix Python rank."""
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_blocks(self, width, seed):
+        rng = random.Random(100 * width + seed)
+        for _ in range(5):
+            count, nrows = rng.randint(1, 40), rng.randint(1, 12)
+            bits = 64 * width - rng.choice([0, 0, rng.randrange(64 * width)])
+            mats = []
+            for _ in range(count):
+                rows = [rng.getrandbits(bits) & (rng.getrandbits(bits) if rng.random() < 0.5 else -1)
+                        for _ in range(nrows)]
+                if nrows > 2 and rng.random() < 0.5:
+                    rows[-1] = rows[0] ^ rows[1]  # a dependent row
+                mats.append(rows)
+            block = np.array([_as_words(rows, width) for rows in mats], dtype=np.uint64)
+            want = [_rank_rows(rows) for rows in mats]
+            ranks, index = _block_ranks(block)
+            assert ranks.tolist() == want and index.tolist() == list(range(count))
+            bound = rng.randint(0, nrows)
+            ranks, index = _block_ranks(block, bound)
+            keep = [i for i, r in enumerate(want) if r <= bound]
+            assert index.tolist() == keep and ranks.tolist() == [want[i] for i in keep]
+
+    def test_full_64_bit_rows(self):
+        # Bit 63 and the word boundary: rows e_63, e_64, e_63 + e_64.
+        rows = [1 << 63, 1 << 64, (1 << 63) | (1 << 64), (1 << 64) - 1]
+        block = np.array([_as_words(rows, 2)], dtype=np.uint64)
+        assert _block_ranks(block)[0].tolist() == [_rank_rows(rows)] == [3]
+
+    def test_all_zero_block(self):
+        ranks, index = _block_ranks(np.zeros((5, 4, 2), dtype=np.uint64), 0)
+        assert ranks.tolist() == [0] * 5 and index.tolist() == list(range(5))
+
+    def test_bound_below_every_rank(self):
+        block = np.array([_as_words([1, 2, 4], 1), _as_words([3, 1, 0], 1)], dtype=np.uint64)
+        ranks, index = _block_ranks(block, 1)
+        assert ranks.size == 0 and index.size == 0
+
+
+class TestAscendingSpan:
+    @given(st.integers(0, 2**12 - 1), st.lists(st.integers(0, 2**12 - 1), max_size=6))
+    def test_sorted_span(self, offset, basis):
+        want = {offset}
+        for b in basis:
+            want |= {v ^ b for v in want}
+        assert list(_ascending_span(offset, basis)) == sorted(want)

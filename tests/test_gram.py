@@ -3,9 +3,13 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from magicsets.gf2 import BitMatrix, rank
+from magicsets import bound, datasets, gram
+from magicsets.gf2 import BitMatrix, _rank_rows, null_space_basis, rank
 from magicsets.gram import (
+    MinQubitsResult,
     NoMagicGramError,
     NotProperEulerianError,
     fast_magic_parity,
@@ -15,11 +19,23 @@ from magicsets.gram import (
     magic_affine_space,
     magic_parity,
     min_qubits,
+    _gram_problems,
+    _gray_enumerate,
     valid_gram_space,
     validate_gram,
 )
 from magicsets.hypergraph import Hypergraph, parse_edge_list
 from magicsets.pauli import gram_matrix_of
+from magicsets.reduce import reduce_with
+
+from conftest import (
+    disjoint_union,
+    hb_descendants,
+    random_proper_eulerian,
+    relabelled,
+    rigid_blocks,
+    seeded_magic_grams,
+)
 
 
 def space_elements(space, rng, count):
@@ -210,3 +226,142 @@ def test_gram_consistency_with_pauli_verification(entries):
         e = entries[name]
         g = gram_matrix_of(e.assignment.strings)
         assert is_magic_gram(e.hypergraph, g)
+
+
+def gray_min_qubits(h: Hypergraph, enumeration_cap: int = 24) -> MinQubitsResult:
+    """The per-matrix scan that ``min_qubits`` replaced, kept as its oracle:
+    one Python rank per magic matrix in Gray-code order, keeping the first
+    of least rank; past the cap, the first of least rank among the offset
+    and its single and pair basis shifts."""
+    space = valid_gram_space(h)
+    offset, basis = space.magic_offset, space.nonmagic_basis
+    d = len(basis)
+    if d <= enumeration_cap:
+        best_rank = best_rows = None
+        searched = 0
+        for _, rows in _gray_enumerate(list(offset.rows), [list(b.rows) for b in basis]):
+            searched += 1
+            r = _rank_rows(rows)
+            if best_rank is None or r < best_rank:
+                best_rank, best_rows = r, tuple(rows)
+        return MinQubitsResult(best_rank // 2, True, BitMatrix(h.vertex_count, best_rows), searched, 1 << d)
+    candidates = [offset] + [offset ^ b for b in basis]
+    candidates += [offset ^ basis[i] ^ basis[j] for i in range(d) for j in range(i + 1, d)]
+    best = min(candidates, key=lambda g: _rank_rows(g.rows))
+    return MinQubitsResult(_rank_rows(best.rows) // 2, False, best, len(candidates), 1 << d)
+
+
+class TestMinQubitsAgainstGrayScan:
+    """The batched scan gives the Gray scan's qubits, witness, flags and counts."""
+
+    @pytest.mark.parametrize("name", datasets.NAMES)
+    def test_bundled(self, entries, name):
+        # HA (d=30) and HC (d=26) take the sampled branch, the rest the scan.
+        h = entries[name].hypergraph
+        assert min_qubits(h) == gray_min_qubits(h)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_hb_descendants_relabelled(self, seed):
+        rng = random.Random(seed)
+        for child in hb_descendants(max_dim=12):
+            h = relabelled(child, rng)
+            assert min_qubits(h) == gray_min_qubits(h)
+
+    @pytest.mark.parametrize("name, cap", [("HB", 10), ("MS3-27b", 3), ("HD", 0)])
+    def test_sampled_branch(self, entries, name, cap):
+        h = entries[name].hypergraph
+        res = min_qubits(h, enumeration_cap=cap)
+        assert not res.exact
+        assert res == gray_min_qubits(h, enumeration_cap=cap)
+
+    def test_rows_wider_than_64_bits(self, entries):
+        # 71 vertices: rows span two words, and the relabelling spreads
+        # HB's vertices over both.
+        h = relabelled(disjoint_union(rigid_blocks(6), entries["HB"].hypergraph), random.Random(9))
+        assert h.vertex_count == 71
+        assert len(valid_gram_space(h).nonmagic_basis) == 14
+        res = min_qubits(h)
+        assert res == gray_min_qubits(h)
+        assert (res.qubits, res.searched) == (3, 1 << 14)
+        assert min_qubits(h, enumeration_cap=6) == gray_min_qubits(h, enumeration_cap=6)
+
+    @given(st.sampled_from(["HB", "HC", "HD", "MS3-27b"]), st.integers(0, 2**32))
+    @settings(max_examples=40, deadline=None)
+    def test_random_descendants(self, name, seed):
+        """Magic hypergraphs drawn as relabelled children of a random magic
+        Gram matrix of a bundled structure (the structure itself when that
+        matrix is reduced); random proper Eulerian ones are rarely magic."""
+        rng = random.Random(seed)
+        h = datasets.load(name).hypergraph
+        (g,) = seeded_magic_grams(h, rng, 1)
+        if not is_reduced(g):
+            h = reduce_with(h, g).output
+        h = relabelled(h, rng)
+        gram.valid_gram_space.cache_clear()  # hypothesis reruns inside one test
+        # A cap of 12 keeps the oracle's scan short and sends larger spaces
+        # through the sampled branch.
+        assert min_qubits(h, enumeration_cap=12) == gray_min_qubits(h, enumeration_cap=12)
+
+
+def _corruptions(g: BitMatrix, rng: random.Random) -> list[BitMatrix]:
+    """g with one entry flipped, one symmetric pair flipped, and one
+    diagonal entry set."""
+    m = g.num_rows
+    i, j = rng.sample(range(m), 2)
+    one = list(g.rows)
+    one[i] ^= 1 << j
+    pair = list(g.rows)
+    pair[i] ^= 1 << j
+    pair[j] ^= 1 << i
+    diag = list(g.rows)
+    diag[i] |= 1 << i
+    return [BitMatrix(m, tuple(rows)) for rows in (one, pair, diag)]
+
+
+class TestValidateGramAgainstEntryLoop:
+    """The bit-parallel verdict against the entry-by-entry loop it fronts."""
+
+    @given(st.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_random_hypergraphs(self, seed):
+        rng = random.Random(seed)
+        h = random_proper_eulerian(rng)
+        gram.valid_gram_space.cache_clear()  # hypothesis reruns inside one test
+        space = valid_gram_space(h)
+        for g in space_elements(space, rng, 3):
+            assert validate_gram(h, g) == _gram_problems(h, g) == []
+            for bad in _corruptions(g, rng):
+                problems = validate_gram(h, bad)
+                assert problems and problems == _gram_problems(h, bad)
+
+    @pytest.mark.parametrize("name", ["square", "MS3-27b", "HD"])
+    def test_bundled(self, entries, name):
+        h = entries[name].hypergraph
+        rng = random.Random(17)
+        for g in space_elements(valid_gram_space(h), rng, 5):
+            assert validate_gram(h, g) == []
+            for bad in _corruptions(g, rng):
+                assert validate_gram(h, bad) == _gram_problems(h, bad) != []
+
+    def test_shape(self, square):
+        g = BitMatrix.zero(8, 9)
+        assert validate_gram(square.hypergraph, g) == ["shape 8x9, expected 9x9"]
+
+
+def test_one_solve_per_hypergraph(entries, monkeypatch):
+    """valid_gram_space, min_qubits, is_minimal and hypergraph_bound on one
+    hypergraph share a single solve of the valid-Gram system."""
+    solves = []
+
+    def counting(m):
+        solves.append(m)
+        return null_space_basis(m)
+
+    monkeypatch.setattr(gram, "null_space_basis", counting)
+    h = entries["MS3-27b"].hypergraph
+    space = valid_gram_space(h)
+    min_qubits(h)
+    is_minimal(h)
+    bound.hypergraph_bound(h)
+    assert valid_gram_space(h) is space
+    assert len(solves) == 1
