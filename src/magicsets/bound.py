@@ -337,7 +337,10 @@ def hypergraph_bound(
     else:
         exact = True
         codim = n - ech.rank
-        cap = min(gram_cap, _TABLE_CODIM - 1)  # the table holds 2^codim syndromes
+        # The table holds at most 2^_TABLE_CODIM syndromes.  Its constructor
+        # refuses a larger codimension too; that check only backs up direct
+        # callers, and this one words the refusal for the bound.
+        cap = min(gram_cap, _TABLE_CODIM - 1)
         if codim - 1 > cap:
             raise ValueError(f"odd-coset enumeration needs 2^{codim - 1} cosets, over cap {cap}")
         # A representative supported on the free columns is its own

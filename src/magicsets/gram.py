@@ -17,7 +17,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .gf2 import BitMatrix, _block_ranks, _span_blocks, null_space_basis, solve_affine
+from .gf2 import (
+    BitMatrix,
+    _block_low,
+    _block_ranks,
+    _span_blocks,
+    null_space_basis,
+    solve_affine,
+)
 from .hypergraph import Hypergraph, is_proper_eulerian
 
 
@@ -73,61 +80,44 @@ def _validity_masks(h: Hypergraph) -> tuple[tuple[int, ...], tuple[tuple[int, ..
     return tuple(masks), members
 
 
-def _valid_rows(h: Hypergraph, rows: Sequence[int]) -> bool:
-    """The valid-Gram conditions on an m x m matrix, bit-parallel per row."""
-    masks, members = _validity_masks(h)
-    for i, (row, mask) in enumerate(zip(rows, masks)):
-        if row & mask or (row >> i) & 1:
-            return False
-        # Symmetry: every set bit (i, j) needs (j, i); a bit set only at
-        # (j, i) is caught on row j.
-        rest = row
-        while rest:
-            low = rest & -rest
-            if not (rows[low.bit_length() - 1] >> i) & 1:
-                return False
-            rest ^= low
-    for context in members:
-        acc = 0
-        for v in context:
-            acc ^= rows[v]
-        if acc:
-            return False
-    return True
-
-
 def validate_gram(h: Hypergraph, g: BitMatrix) -> list[str]:
     """Violations of the valid-Gram conditions; empty list means valid.
 
-    A bit-parallel check decides validity; only an invalid matrix runs the
-    entry-by-entry loop that words its problems.
+    Problems come in a fixed order: nonzero diagonal entries, asymmetric
+    pairs, nonzero co-contextual pairs (each pair (i, j) with i < j, by i
+    then j), then contexts whose rows do not sum to zero.  Each row is
+    checked bit-parallel against its co-context mask, and symmetry by
+    walking its set bits.
     """
     m = h.vertex_count
-    if g.cols == m and g.num_rows == m and _valid_rows(h, g.rows):
-        return []
-    return _gram_problems(h, g)
-
-
-def _gram_problems(h: Hypergraph, g: BitMatrix) -> list[str]:
-    """Every violation of the valid-Gram conditions, entry by entry, in a fixed order."""
-    m = h.vertex_count
-    problems = []
     if g.cols != m or g.num_rows != m:
         return [f"shape {g.num_rows}x{g.cols}, expected {m}x{m}"]
-    for i in range(m):
-        if g.entry(i, i):
-            problems.append(f"nonzero diagonal at {i + 1}")
-    for i in range(m):
-        for j in range(i + 1, m):
-            if g.entry(i, j) != g.entry(j, i):
-                problems.append(f"asymmetric at ({i + 1},{j + 1})")
-    for i, j in sorted(_cocontext_pairs(h)):
-        if g.entry(i, j):
-            problems.append(f"nonzero on co-contextual pair ({i + 1},{j + 1})")
-    for idx, e in enumerate(h.edges):
+    rows = g.rows
+    masks, members = _validity_masks(h)
+    diagonal, asymmetric, cocontext = [], [], []
+    for i, (row, mask) in enumerate(zip(rows, masks)):
+        if (row >> i) & 1:
+            diagonal.append(f"nonzero diagonal at {i + 1}")
+        # An asymmetric pair has its one set bit on exactly one of its rows.
+        rest = row & ~(1 << i)
+        while rest:
+            low = rest & -rest
+            j = low.bit_length() - 1
+            if not (rows[j] >> i) & 1:
+                asymmetric.append((min(i, j), max(i, j)))
+            rest ^= low
+        rest = (row & mask) >> (i + 1)
+        while rest:
+            low = rest & -rest
+            cocontext.append(f"nonzero on co-contextual pair ({i + 1},{i + 1 + low.bit_length()})")
+            rest ^= low
+    problems = diagonal
+    problems += [f"asymmetric at ({i + 1},{j + 1})" for i, j in sorted(asymmetric)]
+    problems += cocontext
+    for idx, context in enumerate(members):
         acc = 0
-        for v in set(e):
-            acc ^= g.rows[v - 1]
+        for v in context:
+            acc ^= rows[v]
         if acc:
             problems.append(f"rows of context {idx + 1} do not sum to zero")
     return problems
@@ -311,9 +301,6 @@ class MinQubitsResult:
     total: int  # size of the magic affine space
 
 
-#: The exact scan ranks the magic space in blocks of 2^_RANK_BLOCK matrices.
-_RANK_BLOCK = 14
-
 _WORD = (1 << 64) - 1
 
 
@@ -344,14 +331,15 @@ def min_qubits(h: Hypergraph, enumeration_cap: int = 24) -> MinQubitsResult:
     combinations of basis elements is returned with exact=False.
 
     The exact scan ranks all 2^d matrices offset + span(nonmagic_basis)
-    with ``gf2._block_ranks``, a block of 2^14 at a time, dropping every
-    matrix ranked above the least rank of the blocks before.  The witness
-    is, among the matrices of least rank, the one with the least Gray
-    index: Gray step s visits coefficient vector s ^ (s >> 1), one basis
-    flip per step from the offset at s = 0, and the first matrix of least
-    rank on that walk is the witness.  The sampled branch's witness is the
-    first of least rank in its candidate list: the offset, then its single
-    and pair basis shifts.
+    with ``gf2._block_ranks``, one ``gf2._block_low`` block at a time (2^14
+    matrices, fewer for wide matrices), dropping every matrix ranked above
+    the least rank of the blocks before.  The witness is, among the
+    matrices of least rank, the one with the least Gray index: Gray step s
+    visits coefficient vector s ^ (s >> 1), one basis flip per step from
+    the offset at s = 0, and the first matrix of least rank on that walk
+    is the witness.  The sampled branch ranks its candidate list, the
+    offset, then its single and pair basis shifts, in blocks of the same
+    size, and its witness is the first of least rank in that list.
     """
     space = valid_gram_space(h)
     if space.magic_offset is None:
@@ -361,9 +349,9 @@ def min_qubits(h: Hypergraph, enumeration_cap: int = 24) -> MinQubitsResult:
     total = 1 << d
     m = h.vertex_count
     width = (m + 63) // 64
+    low = _block_low(m * width)
 
     if d <= enumeration_cap:
-        low = min(d, _RANK_BLOCK)
         basis = [_words(b, width) for b in space.nonmagic_basis]
         best = None  # (rank, Gray index, words)
         for number, block in enumerate(_span_blocks(_words(offset, width), basis, low)):
@@ -379,16 +367,24 @@ def min_qubits(h: Hypergraph, enumeration_cap: int = 24) -> MinQubitsResult:
                 best = (r, int(gray[i]), block[tied[i]])
         return MinQubitsResult(best[0] // 2, True, _matrix_of_words(m, best[2]), total, total)
 
-    # Sampled upper bound: offset alone, plus all single and pair basis shifts.
+    # Sampled upper bound: offset alone, plus all single and pair basis
+    # shifts.  Candidate c is off ^ vecs[first[c]] ^ vecs[second[c]], where
+    # index d names an appended zero vector.
     off = np.array(_words(offset, width), dtype=np.uint64)
     vecs = np.array([_words(b, width) for b in space.nonmagic_basis], dtype=np.uint64)
-    vecs = vecs.reshape(d, len(off))
+    vecs = np.concatenate([vecs.reshape(d, len(off)), np.zeros((1, len(off)), dtype=np.uint64)])
     i, j = np.triu_indices(d, 1)  # pairs i < j, by i then j
-    block = np.concatenate([off[None], off ^ vecs, off ^ vecs[i] ^ vecs[j]])
-    ranks, _ = _block_ranks(block.reshape(-1, m, width))
-    first = int(np.argmin(ranks))
-    witness = _matrix_of_words(m, block[first])
-    return MinQubitsResult(int(ranks[first]) // 2, False, witness, len(block), total)
+    first = np.concatenate([[d], np.arange(d), i])
+    second = np.concatenate([[d] * (d + 1), j])
+    best = None  # (rank, words)
+    for start in range(0, len(first), 1 << low):
+        stop = start + (1 << low)
+        block = off ^ vecs[first[start:stop]] ^ vecs[second[start:stop]]
+        ranks, index = _block_ranks(block.reshape(-1, m, width), None if best is None else best[0])
+        if len(ranks) and (best is None or ranks.min() < best[0]):
+            k = int(np.argmin(ranks))
+            best = (int(ranks[k]), block[index[k]])
+    return MinQubitsResult(best[0] // 2, False, _matrix_of_words(m, best[1]), len(first), total)
 
 
 def is_reduced(g: BitMatrix) -> bool:

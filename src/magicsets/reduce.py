@@ -17,7 +17,14 @@ from typing import Iterable
 
 import numpy as np
 
-from .gf2 import BitMatrix, _span_blocks, null_space_basis, solve_affine
+from .gf2 import (
+    BitMatrix,
+    _BLOCK_MATRICES,
+    _block_low,
+    _span_blocks,
+    null_space_basis,
+    solve_affine,
+)
 from .gram import (
     GramSpace,
     NoMagicGramError,
@@ -445,9 +452,6 @@ def _check_deadline(deadline: float | None) -> None:
         raise _DeadlineReached
 
 
-#: Matrices per scanned block: 2^_LOW_BLOCK.
-_LOW_BLOCK = 14
-
 #: Largest magic space, in matrix rows (2^d * m), decided by a block scan
 #: rather than by defect solves.
 _SCAN_ROWS = 1 << 25
@@ -473,7 +477,8 @@ def _reducible_signatures(
     cap; beyond it, walks each zero-row / equal-row affine slice instead
     (sampled deterministically), which is where all reducible matrices live.
     Raises ``_DeadlineReached`` once ``deadline`` (``time.monotonic``) has
-    passed, checked once per 2^_LOW_BLOCK matrices or per affine slice.
+    passed, checked once per scanned block (2^_BLOCK_MATRICES matrices) or
+    per affine slice.
     """
     d = len(nonmagic)
     m = h.vertex_count
@@ -495,7 +500,7 @@ def _reducible_signatures(
         # Batched scan: rows fit in uint64 for every bundled instance, so
         # blocks of candidate matrices are screened for reducibility together.
         if m <= 64:
-            for block in _span_blocks(offset.rows, [b.rows for b in nonmagic], _LOW_BLOCK):
+            for block in _span_blocks(offset.rows, [b.rows for b in nonmagic], _block_low(m)):
                 _check_deadline(deadline)
                 stats["inspected"] += block.shape[0]
                 for idx in np.nonzero(_reducible_rows(block))[0]:
@@ -507,7 +512,7 @@ def _reducible_signatures(
             return
         basis_rows = [list(b.rows) for b in nonmagic]
         for step, rows in _gray_enumerate(list(offset.rows), basis_rows):
-            if not step % (1 << _LOW_BLOCK):
+            if not step % (1 << _BLOCK_MATRICES):
                 _check_deadline(deadline)
             stats["inspected"] += 1
             sig = signature(tuple(rows))
@@ -555,7 +560,7 @@ def _has_reducible_magic_matrix(
     d = len(nonmagic)
     m = offset.num_rows
     if m <= 64 and d <= gram_cap and m << d <= _SCAN_ROWS:
-        for block in _span_blocks(offset.rows, [b.rows for b in nonmagic], _LOW_BLOCK):
+        for block in _span_blocks(offset.rows, [b.rows for b in nonmagic], _block_low(m)):
             _check_deadline(deadline)
             if _reducible_rows(block).any():
                 return True

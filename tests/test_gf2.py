@@ -23,6 +23,7 @@ from magicsets.gf2 import (
     solve_affine,
     _TABLE_CODIM,
     _ascending_span,
+    _block_low,
     _block_ranks,
     _min_weight_dfs,
     _rank_rows,
@@ -582,6 +583,16 @@ def test_valid_gram_system_rref_matches_oracle(name, monkeypatch):
     (system,) = systems
     assert Echelon(system.rows).rref() == _echelon(system.rows)
     assert [v.bits for v in null_space_basis(system)] == null_space_oracle(system.rows, system.cols)
+
+
+class TestBlockLow:
+    @pytest.mark.parametrize("words", [1, 9, 64, 65, 142, 4096, 1 << 20, (1 << 20) + 1, 1 << 24])
+    def test_largest_block_within_limits(self, words):
+        # At most 2^14 matrices and 2^20 words, and at least one matrix.
+        low = _block_low(words)
+        assert 0 <= low <= 14
+        assert low == 0 or words << low <= 1 << 20
+        assert low == 14 or words << (low + 1) > 1 << 20
 
 
 class TestSpanBlocks:

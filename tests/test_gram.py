@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magicsets import bound, datasets, gram
-from magicsets.gf2 import BitMatrix, _rank_rows, null_space_basis, rank
+from magicsets.gf2 import BitMatrix, _block_low, _rank_rows, null_space_basis, rank
 from magicsets.gram import (
     MinQubitsResult,
     NoMagicGramError,
@@ -19,7 +19,7 @@ from magicsets.gram import (
     magic_affine_space,
     magic_parity,
     min_qubits,
-    _gram_problems,
+    _cocontext_pairs,
     _gray_enumerate,
     valid_gram_space,
     validate_gram,
@@ -276,14 +276,26 @@ class TestMinQubitsAgainstGrayScan:
 
     def test_rows_wider_than_64_bits(self, entries):
         # 71 vertices: rows span two words, and the relabelling spreads
-        # HB's vertices over both.
+        # HB's vertices over both.  A matrix is then 142 words, so the scan
+        # takes four blocks of 2^12 rather than one of 2^14.
         h = relabelled(disjoint_union(rigid_blocks(6), entries["HB"].hypergraph), random.Random(9))
         assert h.vertex_count == 71
         assert len(valid_gram_space(h).nonmagic_basis) == 14
+        assert _block_low(71 * 2) == 12
         res = min_qubits(h)
         assert res == gray_min_qubits(h)
         assert (res.qubits, res.searched) == (3, 1 << 14)
         assert min_qubits(h, enumeration_cap=6) == gray_min_qubits(h, enumeration_cap=6)
+
+    @pytest.mark.parametrize("name, cap", [("HB", 24), ("MS3-27b", 24), ("HB", 10), ("HD", 0)])
+    def test_small_blocks(self, entries, name, cap, monkeypatch):
+        # Blocks of 8 matrices: the bound carried between blocks and the
+        # Gray index of a later block decide the witness, in the exact scan
+        # and in the sampled branch alike.
+        h = entries[name].hypergraph
+        want = gray_min_qubits(h, enumeration_cap=cap)
+        monkeypatch.setattr(gram, "_block_low", lambda words: 3)
+        assert min_qubits(h, enumeration_cap=cap) == want
 
     @given(st.sampled_from(["HB", "HC", "HD", "MS3-27b"]), st.integers(0, 2**32))
     @settings(max_examples=40, deadline=None)
@@ -303,6 +315,32 @@ class TestMinQubitsAgainstGrayScan:
         assert min_qubits(h, enumeration_cap=12) == gray_min_qubits(h, enumeration_cap=12)
 
 
+def entry_loop_problems(h: Hypergraph, g: BitMatrix) -> list[str]:
+    """The valid-Gram violations found entry by entry: the oracle for
+    ``validate_gram``'s bit-parallel pass."""
+    m = h.vertex_count
+    problems = []
+    if g.cols != m or g.num_rows != m:
+        return [f"shape {g.num_rows}x{g.cols}, expected {m}x{m}"]
+    for i in range(m):
+        if g.entry(i, i):
+            problems.append(f"nonzero diagonal at {i + 1}")
+    for i in range(m):
+        for j in range(i + 1, m):
+            if g.entry(i, j) != g.entry(j, i):
+                problems.append(f"asymmetric at ({i + 1},{j + 1})")
+    for i, j in sorted(_cocontext_pairs(h)):
+        if g.entry(i, j):
+            problems.append(f"nonzero on co-contextual pair ({i + 1},{j + 1})")
+    for idx, e in enumerate(h.edges):
+        acc = 0
+        for v in set(e):
+            acc ^= g.rows[v - 1]
+        if acc:
+            problems.append(f"rows of context {idx + 1} do not sum to zero")
+    return problems
+
+
 def _corruptions(g: BitMatrix, rng: random.Random) -> list[BitMatrix]:
     """g with one entry flipped, one symmetric pair flipped, and one
     diagonal entry set."""
@@ -319,7 +357,7 @@ def _corruptions(g: BitMatrix, rng: random.Random) -> list[BitMatrix]:
 
 
 class TestValidateGramAgainstEntryLoop:
-    """The bit-parallel verdict against the entry-by-entry loop it fronts."""
+    """The bit-parallel pass against the entry-by-entry loop it replaced."""
 
     @given(st.integers(0, 2**32))
     @settings(max_examples=60, deadline=None)
@@ -329,10 +367,13 @@ class TestValidateGramAgainstEntryLoop:
         gram.valid_gram_space.cache_clear()  # hypothesis reruns inside one test
         space = valid_gram_space(h)
         for g in space_elements(space, rng, 3):
-            assert validate_gram(h, g) == _gram_problems(h, g) == []
+            assert validate_gram(h, g) == entry_loop_problems(h, g) == []
             for bad in _corruptions(g, rng):
                 problems = validate_gram(h, bad)
-                assert problems and problems == _gram_problems(h, bad)
+                assert problems and problems == entry_loop_problems(h, bad)
+        m = h.vertex_count
+        noise = BitMatrix(m, tuple(rng.getrandbits(m) for _ in range(m)))
+        assert validate_gram(h, noise) == entry_loop_problems(h, noise)
 
     @pytest.mark.parametrize("name", ["square", "MS3-27b", "HD"])
     def test_bundled(self, entries, name):
@@ -341,7 +382,7 @@ class TestValidateGramAgainstEntryLoop:
         for g in space_elements(valid_gram_space(h), rng, 5):
             assert validate_gram(h, g) == []
             for bad in _corruptions(g, rng):
-                assert validate_gram(h, bad) == _gram_problems(h, bad) != []
+                assert validate_gram(h, bad) == entry_loop_problems(h, bad) != []
 
     def test_shape(self, square):
         g = BitMatrix.zero(8, 9)
