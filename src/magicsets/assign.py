@@ -20,9 +20,9 @@ from .gf2 import (
     BitMatrix,
     Echelon,
     _ascending_span,
+    _row_combinations,
     null_space_basis,
     rank,
-    row_combination,
     solve_affine,
 )
 from .hypergraph import Hypergraph
@@ -98,8 +98,7 @@ def _extend_assignment(
 ) -> MagicAssignment:
     basis_rows = [g.rows[i] for i in basis_idx]
     strings = []
-    for j in range(h.vertex_count):
-        combo = row_combination(basis_rows, g.rows[j])
+    for combo in _row_combinations(basis_rows, g.rows):
         if combo is None:
             raise AssertionError("row basis no longer spans the Gram matrix")
         vec = 0

@@ -111,14 +111,27 @@ def noncontextual_bound(h: Hypergraph, c: BitVector) -> BoundReport:
     n = h.num_edges
     if c.length != n:
         raise ValueError(f"sign vector length {c.length}, expected {n}")
-    M = incidence_matrix(h)
-    row_vecs = [BitVector(n, r) for r in M.rows]
+    return _coset_bound(h, incidence_matrix(h), c, None)
+
+
+def _coset_bound(h: Hypergraph, M: BitMatrix, c: BitVector, table: SyndromeTable | None) -> BoundReport:
+    """``noncontextual_bound`` of c, for M the incidence matrix of h.
+
+    ``table``, when given, is the ``SyndromeTable`` of ``Echelon(M.rows)``,
+    the one ``coset_min_weight`` would build, and its leader is the coset
+    witness; otherwise ``coset_min_weight`` finds it.
+    """
+    n = h.num_edges
     exact = True
-    try:
-        w_min, y = coset_min_weight(row_vecs, c)
-    except CosetTooLargeError as err:
-        w_min, y = err.best_weight, err.best_witness
-        exact = False
+    if table is not None:
+        y = BitVector(n, table.leader(table.syndrome(c.bits)))
+        w_min = y.weight()
+    else:
+        try:
+            w_min, y = coset_min_weight([BitVector(n, r) for r in M.rows], c)
+        except CosetTooLargeError as err:
+            w_min, y = err.best_weight, err.best_witness
+            exact = False
     x = row_combination(M.rows, y.bits ^ c.bits)
     if x is None:
         raise AssertionError("coset witness not reachable from the row space")
@@ -250,15 +263,19 @@ def _pauli_sign_cosets(
     return reps, 1 << d, True
 
 
-def _coset_weights(row_space: Echelon, reps, n: int) -> tuple[list[int], bool]:
-    """Minimum weight of every coset rep + row(M), and whether all are exact.
+def _coset_weights(
+    row_space: Echelon, reps, n: int
+) -> tuple[list[int], bool, SyndromeTable | None]:
+    """Minimum weight of every coset rep + row(M), whether all are exact,
+    and the table they came from.
 
     Lookups in one ``SyndromeTable`` when the codimension is at most
-    ``_TABLE_CODIM``; otherwise one ``coset_min_weight`` search per rep,
-    which degrades to its best upper bound past its cap.
+    ``_TABLE_CODIM``; otherwise (table None) one ``coset_min_weight``
+    search per rep, which degrades to its best upper bound past its cap.
     """
     if n - row_space.rank <= _TABLE_CODIM:
-        return SyndromeTable(row_space, n).coset_weights(reps), True
+        table = SyndromeTable(row_space, n)
+        return table.coset_weights(reps), True, table
     row_vecs = [BitVector(n, row) for row in row_space.pivots.values()]
     weights, exact = [], True
     for rep in reps:
@@ -268,7 +285,7 @@ def _coset_weights(row_space: Echelon, reps, n: int) -> tuple[list[int], bool]:
             w = err.best_weight
             exact = False
         weights.append(w)
-    return weights, exact
+    return weights, exact, None
 
 
 def hypergraph_bound(
@@ -329,7 +346,7 @@ def hypergraph_bound(
 
     if pauli_only:
         reps, grams_checked, exact = _pauli_sign_cosets(h, space, ech, gram_cap)
-        weights, weights_exact = _coset_weights(ech, reps, n)
+        weights, weights_exact, table = _coset_weights(ech, reps, n)
         exact = exact and weights_exact
         # The first coset of the largest weight, in the order reps were found.
         best_rep, _ = max(zip(reps, weights), key=lambda item: item[1])
@@ -354,7 +371,8 @@ def hypergraph_bound(
         best_rep = table.lift(int(odd[np.argmax(table.weights[odd])]))
         cosets = len(odd)
 
-    base = noncontextual_bound(h, BitVector(n, best_rep))
+    # The coset's bound, from the table of the route when it built one.
+    base = _coset_bound(h, M, BitVector(n, best_rep), table)
     return HypergraphBoundReport(
         report=base,
         pauli_only=pauli_only,

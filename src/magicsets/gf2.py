@@ -288,16 +288,24 @@ def row_combination(vectors: Sequence[int], target: int) -> int | None:
     unique such mask supported on the greedy independent prefix: the
     inputs that are independent of the inputs before them.
     """
+    return _row_combinations(vectors, [target])[0]
+
+
+def _row_combinations(vectors: Sequence[int], targets: Sequence[int]) -> list[int | None]:
+    """``row_combination(vectors, t)`` for every target t, from one echelon."""
     # Bit i of the augmented columns above ``width`` records vectors[i].
-    width = max([target.bit_length()] + [v.bit_length() for v in vectors])
+    width = max([t.bit_length() for t in targets] + [v.bit_length() for v in vectors], default=0)
     value = (1 << width) - 1
     ech = Echelon()
     for i, v in enumerate(vectors):
         row = ech.reduce(v | (1 << (width + i)))
         if row & value:
             ech.insert(row)
-    row = ech.reduce(target)
-    return None if row & value else row >> width
+    out = []
+    for t in targets:
+        row = ech.reduce(t)
+        out.append(None if row & value else row >> width)
+    return out
 
 
 def solve_affine(equations: Sequence[int], rhs: Sequence[int], num_vars: int) -> BitVector | None:

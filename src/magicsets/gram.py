@@ -211,11 +211,15 @@ def _pair_variables(h: Hypergraph) -> list[tuple[int, int]]:
 
 
 def _matrix_from_pair_bits(m: int, pairs: list[tuple[int, int]], bits: int) -> BitMatrix:
+    """The symmetric matrix with entries (i, j) and (j, i) set for every
+    pair ``pairs[t]`` whose bit t is set; visits only the set bits."""
     rows = [0] * m
-    for idx, (i, j) in enumerate(pairs):
-        if (bits >> idx) & 1:
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
+    while bits:
+        low = bits & -bits
+        i, j = pairs[low.bit_length() - 1]
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+        bits ^= low
     return BitMatrix(m, tuple(rows))
 
 

@@ -175,23 +175,16 @@ def recipe_from_gram(h: Hypergraph, g: BitMatrix) -> ReductionRecipe:
     return ReductionRecipe.build(deleted, identification)
 
 
-def reduce_with(h: Hypergraph, g: BitMatrix) -> ReductionTrace:
-    """Run one reduction round with a magic, non-reduced Gram matrix.
+def _reduction(h: Hypergraph, g: BitMatrix) -> tuple[ReductionRecipe, ReductionSnapshots, Hypergraph]:
+    """The recipe g dictates, run: (recipe, snapshots, output), unchecked.
 
-    The output hypergraph is proper Eulerian and the restricted matrix is
-    re-verified to be one of its magic Gram matrices.  Vertices whose every
-    incident edge cancels in the mod-2 steps end up isolated; they are
-    folded into the deletions and the steps replayed, which provably
-    leaves all other edges untouched (mod-2 counting is a homomorphism
-    under removing a vertex from every edge containing it).
+    Vertices whose every incident edge cancels in the mod-2 steps end up
+    isolated; they are folded into the deletions and the steps replayed,
+    which provably leaves all other edges untouched (mod-2 counting is a
+    homomorphism under removing a vertex from every edge containing it).
+    The result depends on g only through its zero rows and its equal-row
+    partition.
     """
-    problems = validate_gram(h, g)
-    if problems:
-        raise ValueError("not a valid Gram matrix: " + "; ".join(problems[:3]))
-    if fast_magic_parity(h, g) != 1:
-        raise ValueError("Gram matrix is not magic")
-    if is_reduced(g):
-        raise ValueError("Gram matrix is already reduced; nothing to do")
     recipe = recipe_from_gram(h, g)
     mapping = _validate_recipe(h, recipe)
     snapshots, out = _apply_steps(h, mapping)
@@ -206,6 +199,24 @@ def reduce_with(h: Hypergraph, g: BitMatrix) -> ReductionTrace:
         )
         mapping = _validate_recipe(h, recipe)
         snapshots, out = _apply_steps(h, mapping)
+    return recipe, snapshots, out
+
+
+def reduce_with(h: Hypergraph, g: BitMatrix) -> ReductionTrace:
+    """Run one reduction round with a magic, non-reduced Gram matrix.
+
+    The output hypergraph is proper Eulerian and the restricted matrix is
+    re-verified to be one of its magic Gram matrices.  Vertices left
+    isolated by the mod-2 steps are deleted as well (see ``_reduction``).
+    """
+    problems = validate_gram(h, g)
+    if problems:
+        raise ValueError("not a valid Gram matrix: " + "; ".join(problems[:3]))
+    if fast_magic_parity(h, g) != 1:
+        raise ValueError("Gram matrix is not magic")
+    if is_reduced(g):
+        raise ValueError("Gram matrix is already reduced; nothing to do")
+    recipe, snapshots, out = _reduction(h, g)
     reps = [min(pre) for _, pre in recipe.identification]
     reduced = BitMatrix(
         len(reps),
@@ -331,6 +342,14 @@ def isomorphism_key(h: Hypergraph) -> tuple:
     vertex in the orbit of an explored sibling under the automorphisms
     found so far that fix the current prefix.
     """
+    return _key_and_gens(h)[0]
+
+
+def _key_and_gens(h: Hypergraph) -> tuple[tuple, list[list[int]]]:
+    """``isomorphism_key``'s certificate and the automorphisms its search
+    found, each as the image list of the 0-based vertices (contexts
+    dropped).  They generate a subgroup of the automorphism group, which
+    is all that orbit pruning needs."""
     m = h.vertex_count
     n = m + h.num_edges
     adj: list[list[int]] = [[] for _ in range(n)]
@@ -390,10 +409,13 @@ def isomorphism_key(h: Hypergraph) -> tuple:
             return None
         level = len(path)
         explored: list[int] = []
+        known = -1  # generators the orbits in ``roots`` were computed from
         for x in lab[t : t + tsize]:
             if explored:
-                fixing = [g for g in gens if all(g[p] == p for p in path)]
-                roots = _orbit_roots(lab[t : t + tsize], fixing)
+                if known < len(gens):
+                    known = len(gens)
+                    fixing = [g for g in gens if all(g[p] == p for p in path)]
+                    roots = _orbit_roots(lab[t : t + tsize], fixing)
                 if roots[x] in {roots[y] for y in explored}:
                     continue
             explored.append(x)
@@ -411,7 +433,7 @@ def isomorphism_key(h: Hypergraph) -> tuple:
         return None
 
     search(lab, cell, size, root_trace, [])
-    return (m, best[1])
+    return (m, best[1]), [g[:m] for g in gens]
 
 
 def are_isomorphic(a: Hypergraph, b: Hypergraph) -> bool:
@@ -427,12 +449,16 @@ class DescentReport:
     first depends on the input's labels); ``labeled_copies`` keeps every
     distinct identity-labeled minimal output encountered on the way (the
     same structure reappears under many labelings, one per reduction
-    path).  Only one labelled copy of each intermediate class is expanded,
-    and which one depends on the input's labels, so on deeper searches
+    path).  Orbit pruning leaves it whole: the orbit-mates of a signature
+    with a minimal child replay their recipes to add their copies.  Only
+    one labelled copy of each intermediate class is expanded, and which
+    one depends on the input's labels, so on deeper searches
     ``len(labeled_copies)`` does too: relabellings of one input can give
     different counts while the classes, nodes and matrices agree.
-    ``already_minimal`` is true when the root's scan finished and found no
-    reducible magic matrix."""
+    ``nodes_expanded`` counts scanned hypergraphs and
+    ``matrices_inspected`` the magic matrices their scans went through,
+    pruned signatures included.  ``already_minimal`` is true when the
+    root's scan finished and found no reducible magic matrix."""
 
     minimal: tuple[Hypergraph, ...]  # one representative per isomorphism class
     labeled_copies: tuple[Hypergraph, ...]
@@ -461,6 +487,33 @@ def _reducible_rows(block: np.ndarray) -> np.ndarray:
     """Per matrix of a (count, m) uint64 block: has a zero row or two equal rows."""
     srt = np.sort(block, axis=1)
     return (srt[:, 0] == 0) | (srt[:, 1:] == srt[:, :-1]).any(axis=1)
+
+
+def _row_labels(block: np.ndarray) -> np.ndarray:
+    """Per matrix of a (count, m) uint64 block, m <= 64, each row's label:
+    the least index of a row equal to it, or m for a zero row.  Equal
+    label vectors mean equal signatures; returns (count, m) uint8."""
+    count, m = block.shape
+    order = np.argsort(block, axis=1, kind="stable")
+    srt = np.take_along_axis(block, order, axis=1)
+    starts = np.ones((count, m), dtype=bool)
+    starts[:, 1:] = srt[:, 1:] != srt[:, :-1]
+    # A stable sort leads each run of equal rows with its least index.
+    run_start = np.maximum.accumulate(np.where(starts, np.arange(m), 0), axis=1)
+    least = np.take_along_axis(order, run_start, axis=1)
+    least[srt == 0] = m
+    labels = np.empty((count, m), dtype=np.uint8)
+    np.put_along_axis(labels, order, least.astype(np.uint8), axis=1)
+    return labels
+
+
+def _labels_signature(labels: list[int], m: int) -> tuple:
+    """The signature (zero rows, equal-row classes) of a ``_row_labels`` vector."""
+    classes: dict[int, list[int]] = {}
+    for i, label in enumerate(labels):
+        classes.setdefault(label, []).append(i)
+    zero = tuple(classes.pop(m, ()))
+    return zero, tuple(sorted(tuple(c) for c in classes.values()))
 
 
 def _reducible_signatures(
@@ -498,17 +551,20 @@ def _reducible_signatures(
 
     if d <= gram_cap:
         # Batched scan: rows fit in uint64 for every bundled instance, so
-        # blocks of candidate matrices are screened for reducibility together.
+        # blocks of candidate matrices are screened for reducibility and
+        # labelled by signature together.
         if m <= 64:
             for block in _span_blocks(offset.rows, [b.rows for b in nonmagic], _block_low(m)):
                 _check_deadline(deadline)
                 stats["inspected"] += block.shape[0]
-                for idx in np.nonzero(_reducible_rows(block))[0]:
-                    rows = tuple(int(r) for r in block[idx])
-                    sig = signature(rows)
-                    if sig is not None and sig not in seen:
-                        seen.add(sig)
-                        yield sig, BitMatrix(m, rows)
+                reducible = block[_reducible_rows(block)]
+                labels = _row_labels(reducible).tobytes()
+                for k in range(reducible.shape[0]):
+                    key = labels[k * m : (k + 1) * m]
+                    if key not in seen:
+                        seen.add(key)
+                        sig = _labels_signature(list(key), m)
+                        yield sig, BitMatrix(m, tuple(reducible[k].tolist()))
             return
         basis_rows = [list(b.rows) for b in nonmagic]
         for step, rows in _gray_enumerate(list(offset.rows), basis_rows):
@@ -572,6 +628,31 @@ def _has_reducible_magic_matrix(
     return False
 
 
+def _signature_orbit(sig: tuple, gens: list[list[int]]) -> list[tuple]:
+    """Every image of a reduction signature under the group ``gens``
+    generate (vertex permutations), found breadth-first from ``sig``.
+
+    An automorphism maps a matrix with signature (zero rows, equal-row
+    classes) to one whose signature is the image, with an isomorphic
+    reduction, so a whole orbit reduces to one isomorphism class.
+    """
+    orbit = {sig: None}
+    frontier = [sig]
+    while frontier:
+        nxt = []
+        for zero, classes in frontier:
+            for g in gens:
+                image = (
+                    tuple(sorted(g[i] for i in zero)),
+                    tuple(sorted(tuple(sorted(g[i] for i in c)) for c in classes)),
+                )
+                if image not in orbit:
+                    orbit[image] = None
+                    nxt.append(image)
+        frontier = nxt
+    return list(orbit)
+
+
 def find_minimal_descendants(
     h: Hypergraph,
     max_nodes: int = 10_000,
@@ -592,6 +673,17 @@ def find_minimal_descendants(
     ``labeled_copies``.  Isomorphic hypergraphs have the same reducibility
     and, relabeled, the same reductions, so neither the verdict nor the
     descendant classes depend on which copy came first.
+
+    Within a node, reductions are pruned by orbits (isomorph rejection,
+    McKay, J. Algorithms 26, 1998): the certificate search of every node
+    also yields automorphisms of it, which permute its reduction
+    signatures, and signatures in one orbit give isomorphic children.
+    Only the first signature of each orbit in scan order is reduced (with
+    all of ``reduce_with``'s checks) and classed; its orbit-mates reuse
+    that class, and replay their recipe only when the class is minimal, to
+    add their labelled copy.  The first child of every class comes from
+    the first signature of its orbit, so the report is the one the
+    unpruned search gives.
     """
     t0 = time.monotonic()
     deadline = None if max_seconds is None else t0 + max_seconds
@@ -605,7 +697,8 @@ def find_minimal_descendants(
     complete = True
     stats = {"inspected": 0}
     expanded = 0
-    queue: list[tuple[Hypergraph, GramSpace]] = [(h, space)]
+    # Each node carries the automorphism generators of its own labelling.
+    queue: list[tuple[Hypergraph, GramSpace, list[list[int]]]] = [(h, space, _key_and_gens(h)[1])]
     already_minimal = False
 
     try:
@@ -614,19 +707,26 @@ def find_minimal_descendants(
                 complete = False
                 break
             _check_deadline(deadline)
-            current, sp = queue.pop()
+            current, sp, gens = queue.pop()
             expanded += 1
             if len(sp.nonmagic_basis) > gram_cap:
                 complete = False
             children = []
+            orbit_class: dict[tuple, tuple] = {}  # signature -> its child's certificate
             found = False
-            for _, matrix in _reducible_signatures(
+            for sig, matrix in _reducible_signatures(
                 current, sp.magic_offset, sp.nonmagic_basis, gram_cap, stats, deadline
             ):
                 found = True
                 _check_deadline(deadline)
+                cert = orbit_class.get(sig)
+                if cert is not None:
+                    if is_minimal_class[cert]:
+                        child = _reduction(current, matrix)[2]
+                        labeled.setdefault(canonical_edges(child), child)
+                    continue
                 child = reduce_with(current, matrix).output
-                cert = isomorphism_key(child)
+                cert, child_gens = _key_and_gens(child)
                 child_minimal = is_minimal_class.get(cert)
                 if child_minimal is None:
                     child_space = valid_gram_space(child)
@@ -639,7 +739,8 @@ def find_minimal_descendants(
                     if child_minimal:
                         minimal.append(child)
                     else:
-                        children.append((child, child_space))
+                        children.append((child, child_space, child_gens))
+                orbit_class.update(dict.fromkeys(_signature_orbit(sig, gens), cert))
                 if child_minimal:
                     labeled.setdefault(canonical_edges(child), child)
             if current is h:

@@ -113,6 +113,19 @@ def seeded_magic_grams(h: Hypergraph, rng: random.Random, count: int) -> list[Bi
     return grams
 
 
+def magic_descendant(name: str, rng: random.Random) -> Hypergraph:
+    """A magic hypergraph: the child of a random magic Gram matrix of the
+    bundled structure ``name`` (the structure itself when that matrix is
+    reduced), relabelled.  ``random_proper_eulerian`` yields no magic
+    hypergraph in practice (none in 300 seeds), so magic inputs come from
+    here."""
+    h = datasets.load(name).hypergraph
+    (g,) = seeded_magic_grams(h, rng, 1)
+    if not is_reduced(g):
+        h = reduce_with(h, g).output
+    return relabelled(h, rng)
+
+
 def hb_descendants(max_dim: int) -> list[Hypergraph]:
     """Children of HB from seeded non-reduced magic Gram matrices, the first
     drawn for each magic-space dimension from 1 to max_dim."""

@@ -288,7 +288,7 @@ def test_criterion_10_hb_descendants_stretch(entries):
             f"informational (stretch): partial HB search found "
             f"{len(result.minimal)} minimal classes in {elapsed:.0f}s "
             f"(budget {budget:.0f}s); set MAGICSETS_HB_SECONDS to roughly "
-            f"20000 to run it to completion"
+            f"600 to run it to completion"
         )
     assert len(result.minimal) == 309
     report("10: HB exhaustive descendant count", elapsed, f"({len(result.minimal)} classes)")

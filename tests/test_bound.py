@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from magicsets import bound, datasets
+from magicsets import bound, datasets, gf2
 from magicsets.assign import assignment_from_gram
 from magicsets.bound import (
     DEFAULT_GRAM_ENUM_CAP,
@@ -146,7 +146,9 @@ def assert_weights_match_oracles(h: Hypergraph, row_space: Echelon, reps: list[i
     assert searched == [(w, table.leader(table.syndrome(rep))) for w, rep in zip(got, reps)]
     if row_space.rank <= 25:
         assert got == shared_enumeration_oracle(row_space, reps, n)
-    assert bound._coset_weights(row_space, reps, n) == (got, True)
+    weights, exact, route_table = bound._coset_weights(row_space, reps, n)
+    assert (weights, exact) == (got, True)
+    assert route_table.weights.tolist() == table.weights.tolist()
 
 
 class TestNoncontextualBound:
@@ -351,6 +353,25 @@ class TestHypergraphBound:
                 for y in cycles:
                     sub = Hypergraph(h.vertex_count, tuple(ed for j, ed in enumerate(h.edges) if y[j]))
                     assert (c.bits & y.bits).bit_count() % 2 == magic_parity(sub, g), (name, y)
+
+    @pytest.mark.parametrize("pauli_only", [True, False])
+    @pytest.mark.parametrize("name", ["MS3-27b", "HD", "pentagram"])
+    def test_one_syndrome_table(self, entries, monkeypatch, name, pauli_only):
+        """Both routes score the cosets and bound the maximizing one from a
+        single table, and that bound is ``noncontextual_bound``'s."""
+        built = []
+
+        class CountingTable(SyndromeTable):
+            def __init__(self, row_space, length):
+                built.append(length)
+                super().__init__(row_space, length)
+
+        monkeypatch.setattr(bound, "SyndromeTable", CountingTable)
+        monkeypatch.setattr(gf2, "SyndromeTable", CountingTable)
+        h = entries[name].hypergraph
+        rep = hypergraph_bound(h, pauli_only=pauli_only)
+        assert built == [h.num_edges]
+        assert rep.report == noncontextual_bound(h, rep.maximizing_signs)
 
     def test_no_magic_rejected(self):
         with pytest.raises(NoMagicGramError):

@@ -27,6 +27,7 @@ from magicsets.gf2 import (
     _block_ranks,
     _min_weight_dfs,
     _rank_rows,
+    _row_combinations,
     _span_blocks,
 )
 from magicsets.reduce import _has_reducible_magic_matrix
@@ -559,6 +560,14 @@ class TestEchelonAgainstOracles:
             for r in data.draw(st.lists(st.sampled_from(rows), max_size=5)):
                 target ^= r
         assert row_combination(rows, target) == row_combination_oracle(rows, target)
+
+    @given(row_systems(), st.data())
+    def test_row_combinations_share_one_echelon(self, system, data):
+        # Targets in and out of the span, of every width up to the rows'.
+        width, rows = system
+        targets = data.draw(st.lists(st.integers(0, (1 << width) - 1), max_size=6))
+        targets += [rows[i] ^ rows[-1] for i in range(len(rows))]
+        assert _row_combinations(rows, targets) == [row_combination_oracle(rows, t) for t in targets]
 
     @given(st.integers(1, 4), st.data())
     def test_solution_space(self, k, data):

@@ -24,17 +24,16 @@ from magicsets.gram import (
     valid_gram_space,
     validate_gram,
 )
-from magicsets.hypergraph import Hypergraph, parse_edge_list
+from magicsets.hypergraph import Hypergraph, dual, parse_edge_list
 from magicsets.pauli import gram_matrix_of
-from magicsets.reduce import reduce_with
 
 from conftest import (
     disjoint_union,
     hb_descendants,
+    magic_descendant,
     random_proper_eulerian,
     relabelled,
     rigid_blocks,
-    seeded_magic_grams,
 )
 
 
@@ -103,6 +102,33 @@ class TestValidGramSpace:
         # space sizes (2^30 and 2^26) pin the valid-space dimensions.
         assert valid_gram_space(entries["HA"].hypergraph).dim == 31
         assert valid_gram_space(entries["HC"].hypergraph).dim == 27
+
+
+def pair_loop_matrix(m: int, pairs: list[tuple[int, int]], bits: int) -> BitMatrix:
+    """The conversion ``gram._matrix_from_pair_bits`` replaced, testing
+    every pair unknown in turn: its oracle."""
+    rows = [0] * m
+    for idx, (i, j) in enumerate(pairs):
+        if (bits >> idx) & 1:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    return BitMatrix(m, tuple(rows))
+
+
+class TestMatrixFromPairBits:
+    def test_against_pair_loop(self, entries):
+        # Bundled structures, and the duals the planarity test solves: a
+        # 22-vertex graph of 46 edges has a dual with 800+ pair unknowns.
+        rng = random.Random(4)
+        graph_edges = rng.sample([(u, v) for u in range(1, 23) for v in range(u + 1, 23)], 46)
+        graph = Hypergraph.from_edges(graph_edges, 22)
+        hs = [e.hypergraph for e in entries.values()] + [dual(graph)]
+        for h in hs:
+            m, pairs = h.vertex_count, gram._pair_variables(h)
+            full = (1 << len(pairs)) - 1
+            for bits in [0, full, 1 << (len(pairs) - 1)] + [rng.getrandbits(len(pairs)) for _ in range(20)]:
+                assert gram._matrix_from_pair_bits(m, pairs, bits) == pair_loop_matrix(m, pairs, bits)
+        assert len(gram._pair_variables(hs[-1])) > 800
 
 
 class TestMagicGram:
@@ -303,12 +329,7 @@ class TestMinQubitsAgainstGrayScan:
         """Magic hypergraphs drawn as relabelled children of a random magic
         Gram matrix of a bundled structure (the structure itself when that
         matrix is reduced); random proper Eulerian ones are rarely magic."""
-        rng = random.Random(seed)
-        h = datasets.load(name).hypergraph
-        (g,) = seeded_magic_grams(h, rng, 1)
-        if not is_reduced(g):
-            h = reduce_with(h, g).output
-        h = relabelled(h, rng)
+        h = magic_descendant(name, random.Random(seed))
         gram.valid_gram_space.cache_clear()  # hypothesis reruns inside one test
         # A cap of 12 keeps the oracle's scan short and sends larger spaces
         # through the sampled branch.

@@ -4,17 +4,26 @@ import random
 import time
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from magicsets.gf2 import BitMatrix, _block_low, _span_blocks
 from magicsets.gram import is_magic_gram, is_reduced, valid_gram_space
 from magicsets.hypergraph import Hypergraph, is_proper_eulerian, parse_edge_list
 from magicsets.orbits import ms327_hypergraph
 from magicsets.pauli import decode, encode, gram_matrix_of
+from magicsets import reduce
 from magicsets.reduce import (
+    DescentReport,
     RecipeError,
     ReductionRecipe,
+    _has_reducible_magic_matrix,
+    _key_and_gens,
+    _reducible_rows,
+    _reducible_signatures,
+    _row_labels,
     apply_recipe,
     are_isomorphic,
     canonical_edges,
@@ -24,7 +33,15 @@ from magicsets.reduce import (
     reduce_with,
 )
 
-from conftest import hb_descendants, random_proper_eulerian, relabelled, seeded_magic_grams
+from conftest import (
+    disjoint_union,
+    hb_descendants,
+    magic_descendant,
+    random_proper_eulerian,
+    relabelled,
+    rigid_blocks,
+    seeded_magic_grams,
+)
 
 
 def _bipartite_graph(h: Hypergraph) -> nx.Graph:
@@ -262,11 +279,203 @@ class TestDescentLabelIndependence:
         if name == "HD":
             h = entries["HD"].hypergraph
         else:
-            (h,) = [c for c in hb_descendants(max_dim=5) if len(valid_gram_space(c).nonmagic_basis) == 5]
+            h = hb_d5()
         expected = descent_summary(h)
         rng = random.Random(name)
         for _ in range(3):
             assert descent_summary(relabelled(h, rng)) == expected
+
+
+def per_matrix_signatures(h: Hypergraph, block_low: int) -> list[tuple]:
+    """The scan before numpy labels: each reducible matrix's signature
+    built in Python, the first matrix of each signature kept in scan
+    order.  The oracle for ``_reducible_signatures``'s block scan."""
+    sp = valid_gram_space(h)
+    seen, out = set(), []
+    blocks = _span_blocks(sp.magic_offset.rows, [b.rows for b in sp.nonmagic_basis], block_low)
+    for block in blocks:
+        for idx in np.nonzero(_reducible_rows(block))[0]:
+            rows = tuple(int(r) for r in block[idx])
+            classes: dict[int, list[int]] = {}
+            zero = []
+            for i, r in enumerate(rows):
+                if r == 0:
+                    zero.append(i)
+                else:
+                    classes.setdefault(r, []).append(i)
+            sig = (tuple(zero), tuple(sorted(tuple(c) for c in classes.values())))
+            if sig not in seen:
+                seen.add(sig)
+                out.append((sig, BitMatrix(h.vertex_count, rows)))
+    return out
+
+
+class TestBlockSignatures:
+    def test_row_labels(self):
+        rng = np.random.default_rng(7)
+        for m in (1, 2, 5, 64):
+            block = rng.integers(0, 4, size=(300, m)).astype(np.uint64) << np.uint64(62)
+            block[:, 0] ^= rng.integers(0, 2, size=300).astype(np.uint64)
+            want = []
+            for rows in block.tolist():
+                first: dict[int, int] = {}
+                want.append([m if r == 0 else first.setdefault(r, i) for i, r in enumerate(rows)])
+            assert _row_labels(block).tolist() == want
+
+    @pytest.mark.parametrize("low", [None, 3])
+    def test_scan_matches_per_matrix_signatures(self, entries, monkeypatch, low):
+        # Blocks of 8 matrices make most signatures recur in later blocks.
+        if low is not None:
+            monkeypatch.setattr(reduce, "_block_low", lambda words: low)
+        rng = random.Random(85)
+        hs = [entries["HB"].hypergraph, entries["HD"].hypergraph] + hb_descendants(max_dim=9)
+        for h in hs + [relabelled(h, rng) for h in hs]:
+            sp = valid_gram_space(h)
+            stats = {"inspected": 0}
+            got = list(_reducible_signatures(h, sp.magic_offset, sp.nonmagic_basis, 20, stats))
+            want = per_matrix_signatures(h, _block_low(h.vertex_count) if low is None else low)
+            assert got == want
+            assert stats["inspected"] == 1 << len(sp.nonmagic_basis)
+
+
+def unpruned_descent(h: Hypergraph, gram_cap: int = 20) -> DescentReport:
+    """The search before orbit pruning, without budgets: every distinct
+    reduction signature of a node is reduced and its child classed.  The
+    oracle for ``find_minimal_descendants``, which reduces one signature
+    per automorphism orbit."""
+    is_minimal_class: dict[tuple, bool] = {}
+    minimal: list[Hypergraph] = []
+    labeled: dict = {}
+    stats = {"inspected": 0}
+    expanded = 0
+    complete = True
+    already_minimal = False
+    queue = [(h, valid_gram_space(h))]
+    while queue:
+        current, sp = queue.pop()
+        expanded += 1
+        if len(sp.nonmagic_basis) > gram_cap:
+            complete = False
+        children = []
+        found = False
+        for _, matrix in _reducible_signatures(
+            current, sp.magic_offset, sp.nonmagic_basis, gram_cap, stats
+        ):
+            found = True
+            child = reduce_with(current, matrix).output
+            cert = isomorphism_key(child)
+            child_minimal = is_minimal_class.get(cert)
+            if child_minimal is None:
+                child_space = valid_gram_space(child)
+                child_minimal = not _has_reducible_magic_matrix(
+                    child_space.magic_offset, child_space.nonmagic_basis, gram_cap
+                )
+                is_minimal_class[cert] = child_minimal
+                if child_minimal:
+                    minimal.append(child)
+                else:
+                    children.append((child, child_space))
+            if child_minimal:
+                labeled.setdefault(canonical_edges(child), child)
+        if current is h:
+            already_minimal = not found
+        queue.extend(children)
+    return DescentReport(
+        tuple(minimal), tuple(labeled.values()), already_minimal, expanded, stats["inspected"], complete, 0.0
+    )
+
+
+def full_report(report: DescentReport) -> tuple:
+    """Every field but the elapsed time, hypergraphs with their labels."""
+    return (
+        [(c.vertex_count, c.edges) for c in report.minimal],
+        [(c.vertex_count, c.edges) for c in report.labeled_copies],
+        report.already_minimal,
+        report.nodes_expanded,
+        report.matrices_inspected,
+        report.complete,
+    )
+
+
+def hb_d5() -> Hypergraph:
+    """The seeded HB descendant with a 5-dimensional magic space."""
+    (h,) = [c for c in hb_descendants(max_dim=5) if len(valid_gram_space(c).nonmagic_basis) == 5]
+    return h
+
+
+class TestOrbitPrunedDescent:
+    """Reducing one signature per orbit gives the unpruned search's report."""
+
+    def assert_matches_unpruned(self, h: Hypergraph, gram_cap: int = 20) -> None:
+        pruned = find_minimal_descendants(h, max_seconds=None, gram_cap=gram_cap)
+        assert full_report(pruned) == full_report(unpruned_descent(h, gram_cap))
+
+    def test_hd_relabelled(self, entries):
+        h = entries["HD"].hypergraph
+        rng = random.Random(81)
+        for g in [h] + [relabelled(h, rng) for _ in range(8)]:
+            self.assert_matches_unpruned(g)
+
+    def test_hb_descendants_relabelled(self):
+        rng = random.Random(82)
+        children = hb_descendants(max_dim=5)  # magic-space dimensions 1, 2, 3 and 5
+        assert len(children) == 4
+        for child in children:
+            for _ in range(8):
+                self.assert_matches_unpruned(relabelled(child, rng))
+
+    def test_sampled_and_wide_scans(self, entries):
+        # Past the cap the signatures come from the defect slices; beside
+        # four rigid blocks (69 vertices) from the Gray scan of wide rows,
+        # where the blocks' 24 vertices have zero rows in every matrix.
+        hd = entries["HD"].hypergraph
+        rng = random.Random(83)
+        self.assert_matches_unpruned(relabelled(hd, rng), gram_cap=3)
+        wide = relabelled(disjoint_union(hd, rigid_blocks(4)), rng)
+        assert wide.vertex_count == 69
+        self.assert_matches_unpruned(wide)
+
+    @given(st.sampled_from(["HD", "MS3-27b"]), st.integers(0, 2**32))
+    @settings(max_examples=20, deadline=None)
+    def test_random_magic_descendants(self, name, seed):
+        self.assert_matches_unpruned(magic_descendant(name, random.Random(seed)))
+
+    @pytest.mark.parametrize("name, reductions, certificates", [("HD", 3, 4), ("HB-d5", 20, 21)])
+    def test_one_reduction_per_orbit(self, entries, monkeypatch, name, reductions, certificates):
+        # Unpruned, HD takes 12 reductions and HB-d5 37; the extra
+        # certificate is the root's, for its automorphisms.
+        h = entries["HD"].hypergraph if name == "HD" else hb_d5()
+        calls = {"reduce_with": 0, "_key_and_gens": 0}
+        for fn in calls:
+            original = getattr(reduce, fn)
+
+            def counted(*args, _fn=fn, _original=original):
+                calls[_fn] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(reduce, fn, counted)
+        find_minimal_descendants(h, max_seconds=None)
+        assert calls == {"reduce_with": reductions, "_key_and_gens": certificates}
+
+
+class TestAutomorphismGenerators:
+    @staticmethod
+    def edge_multiset(h: Hypergraph, perm=None) -> list:
+        img = (lambda v: v) if perm is None else (lambda v: perm[v - 1] + 1)
+        return sorted(tuple(sorted(img(v) for v in e)) for e in h.edges)
+
+    def test_generators_are_automorphisms(self, entries):
+        rng = random.Random(84)
+        hs = [e.hypergraph for e in entries.values()] + hb_descendants(max_dim=5)
+        total = 0
+        for h in hs + [relabelled(h, rng) for h in hs]:
+            key, gens = _key_and_gens(h)
+            assert key == isomorphism_key(h)
+            for g in gens:
+                assert sorted(g) == list(range(h.vertex_count))
+                assert self.edge_multiset(h, g) == self.edge_multiset(h)
+            total += len(gens)
+        assert total > 0
 
 
 class TestIsomorphism:
