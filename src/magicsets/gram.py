@@ -11,6 +11,7 @@ subspace of exactly half the valid Gram space.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -279,23 +280,6 @@ def magic_affine_space(h: Hypergraph) -> tuple[BitMatrix, tuple[BitMatrix, ...]]
     return space.magic_offset, space.nonmagic_basis
 
 
-def _gray_enumerate(offset_rows: list[int], basis_rows: list[list[int]]):
-    """Yield (index, rows) for all offset + span(basis) matrices via Gray code.
-
-    Rows are mutated in place; callers must not keep references between
-    iterations.
-    """
-    current = list(offset_rows)
-    yield 0, current
-    d = len(basis_rows)
-    for step in range(1, 1 << d):
-        l = (step & -step).bit_length() - 1
-        b = basis_rows[l]
-        for i in range(len(current)):
-            current[i] ^= b[i]
-        yield step, current
-
-
 @dataclass(frozen=True)
 class MinQubitsResult:
     qubits: int
@@ -310,13 +294,18 @@ _WORD = (1 << 64) - 1
 
 def _words(g: BitMatrix, width: int) -> list[int]:
     """The rows of g as ``width`` 64-bit words each, low word first."""
+    if width == 1:
+        return list(g.rows)
     return [(row >> (64 * j)) & _WORD for row in g.rows for j in range(width)]
 
 
 def _matrix_of_words(m: int, words: np.ndarray) -> BitMatrix:
     """Inverse of ``_words`` on one (m * width,) word vector."""
     rows = words.reshape(m, -1)
-    return BitMatrix(m, tuple(sum(int(w) << (64 * j) for j, w in enumerate(row)) for row in rows))
+    value = rows[:, -1].tolist()
+    for j in range(rows.shape[1] - 2, -1, -1):
+        value = [(v << 64) | w for v, w in zip(value, rows[:, j].tolist())]
+    return BitMatrix(m, tuple(value))
 
 
 def _gray_index(x: np.ndarray) -> np.ndarray:
@@ -405,47 +394,113 @@ def _defect_systems(offset: BitMatrix, basis: Sequence[BitMatrix]):
     """Affine systems over the magic-space coordinates for each reducibility defect.
 
     Yields (kind, equations, rhs) where solvability means some magic Gram
-    matrix has that zero row ("zero", i) or equal row pair ("equal", i, j).
+    matrix has that zero row ("zero", i) or equal row pair ("equal", i, j):
+    first every zero row, then every pair i < j by i then j, each with one
+    equation per column.  Equations come from a transposed table, per row
+    i and column j the mask over l of ``basis[l]``'s entry (i, j), so a
+    pair's equations are the XORs of its two rows' masks.
     """
     m = offset.num_rows
-    d = len(basis)
+    cols = [[0] * m for _ in range(m)]
+    for l, b in enumerate(basis):
+        bit = 1 << l
+        for col, row in zip(cols, b.rows):
+            while row:
+                low = row & -row
+                col[low.bit_length() - 1] |= bit
+                row ^= low
     for i in range(m):
-        eqs, rhs = [], []
-        for j in range(m):
-            eq = 0
-            for l in range(d):
-                if (basis[l].rows[i] >> j) & 1:
-                    eq |= 1 << l
-            eqs.append(eq)
-            rhs.append((offset.rows[i] >> j) & 1)
-        yield ("zero", i), eqs, rhs
+        yield ("zero", i), cols[i], [(offset.rows[i] >> j) & 1 for j in range(m)]
     for i in range(m):
         for j in range(i + 1, m):
-            eqs, rhs = [], []
-            for t in range(m):
-                eq = 0
-                for l in range(d):
-                    if ((basis[l].rows[i] ^ basis[l].rows[j]) >> t) & 1:
-                        eq |= 1 << l
-                eqs.append(eq)
-                rhs.append(((offset.rows[i] ^ offset.rows[j]) >> t) & 1)
-            yield ("equal", i, j), eqs, rhs
+            diff = offset.rows[i] ^ offset.rows[j]
+            eqs = [a ^ b for a, b in zip(cols[i], cols[j])]
+            yield ("equal", i, j), eqs, [(diff >> t) & 1 for t in range(m)]
+
+
+class _DeadlineReached(Exception):
+    """A search's time budget ran out."""
+
+
+def _check_deadline(deadline: float | None) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise _DeadlineReached
+
+
+#: Largest magic space, in matrix rows (2^d * m), decided by a block scan
+#: rather than by defect solves.
+_SCAN_ROWS = 1 << 25
+
+
+def _row_keys(block: np.ndarray) -> np.ndarray:
+    """The rows of a (count, m, W) uint64 block as a (count, m) array whose
+    items compare and sort as whole rows: the words themselves at W = 1,
+    one void item of W words otherwise.  A zero row sorts first either way
+    (void items sort bytewise)."""
+    if block.shape[2] == 1:
+        return block[:, :, 0]
+    return np.ascontiguousarray(block).view(np.dtype((np.void, 8 * block.shape[2])))[:, :, 0]
+
+
+def _reducible_rows(block: np.ndarray) -> np.ndarray:
+    """Per matrix of a (count, m, W) uint64 block: has a zero row or two equal rows."""
+    srt = np.sort(_row_keys(block), axis=1)
+    return (srt[:, 0] == np.zeros((), srt.dtype)) | (srt[:, 1:] == srt[:, :-1]).any(axis=1)
+
+
+def _reducible_by_scan(
+    offset: BitMatrix, basis: Sequence[BitMatrix], deadline: float | None = None
+) -> bool:
+    """``_has_reducible_matrix`` by scanning the whole space in blocks."""
+    m = offset.num_rows
+    width = (m + 63) // 64
+    vecs = [_words(b, width) for b in basis]
+    for block in _span_blocks(_words(offset, width), vecs, _block_low(m * width)):
+        _check_deadline(deadline)
+        if _reducible_rows(block.reshape(-1, m, width)).any():
+            return True
+    return False
+
+
+def _reducible_by_solves(
+    offset: BitMatrix, basis: Sequence[BitMatrix], deadline: float | None = None
+) -> bool:
+    """``_has_reducible_matrix`` by solving every defect system."""
+    for _, eqs, rhs in _defect_systems(offset, basis):
+        _check_deadline(deadline)
+        if solve_affine(eqs, rhs, len(basis)) is not None:
+            return True
+    return False
+
+
+def _has_reducible_matrix(
+    offset: BitMatrix, basis: Sequence[BitMatrix], deadline: float | None = None
+) -> bool:
+    """True iff some matrix of offset + span(basis) has a zero row or two equal rows.
+
+    Both routes answer exactly; the size of the space picks one.  A space
+    of at most ``_SCAN_ROWS`` matrix rows (2^d * m) is scanned in blocks,
+    at any row width; a larger one is decided by the affine defect solves.
+    Raises ``_DeadlineReached`` once ``deadline`` (``time.monotonic``) has
+    passed, checked once per block or per defect system.
+    """
+    if offset.num_rows << len(basis) <= _SCAN_ROWS:
+        return _reducible_by_scan(offset, basis, deadline)
+    return _reducible_by_solves(offset, basis, deadline)
 
 
 def is_minimal(h: Hypergraph) -> bool:
     """No magic Gram matrix of h has a zero row or a repeated row pair.
 
-    Each defect is an affine condition on the magic space, so emptiness of
-    every intersection is decided exactly by linear solves.
+    One decision, ``_has_reducible_matrix``, serves this and the descent's
+    child check: a block scan of magic spaces up to ``_SCAN_ROWS`` matrix
+    rows, at any row width, and affine defect solves past that (each
+    defect is an affine condition on the magic space).
     """
     space = valid_gram_space(h)
     if space.magic_offset is None:
         raise NoMagicGramError(f"{h.name or 'hypergraph'} admits no magic Gram matrix")
-    d = len(space.nonmagic_basis)
-    for _, eqs, rhs in _defect_systems(space.magic_offset, space.nonmagic_basis):
-        if solve_affine(eqs, rhs, d) is not None:
-            return False
-    return True
+    return not _has_reducible_matrix(space.magic_offset, space.nonmagic_basis)
 
 
 __all__ = [

@@ -17,19 +17,18 @@ from typing import Iterable
 
 import numpy as np
 
-from .gf2 import (
-    BitMatrix,
-    _BLOCK_MATRICES,
-    _block_low,
-    _span_blocks,
-    null_space_basis,
-    solve_affine,
-)
+from .gf2 import BitMatrix, _block_low, _span_blocks, null_space_basis, solve_affine
 from .gram import (
     GramSpace,
     NoMagicGramError,
+    _DeadlineReached,
+    _check_deadline,
     _defect_systems,
-    _gray_enumerate,
+    _has_reducible_matrix,
+    _matrix_of_words,
+    _reducible_rows,
+    _row_keys,
+    _words,
     fast_magic_parity,
     is_magic_gram,
     is_reduced,
@@ -469,41 +468,23 @@ class DescentReport:
     elapsed_seconds: float
 
 
-class _DeadlineReached(Exception):
-    """The descent search's time budget ran out."""
-
-
-def _check_deadline(deadline: float | None) -> None:
-    if deadline is not None and time.monotonic() > deadline:
-        raise _DeadlineReached
-
-
-#: Largest magic space, in matrix rows (2^d * m), decided by a block scan
-#: rather than by defect solves.
-_SCAN_ROWS = 1 << 25
-
-
-def _reducible_rows(block: np.ndarray) -> np.ndarray:
-    """Per matrix of a (count, m) uint64 block: has a zero row or two equal rows."""
-    srt = np.sort(block, axis=1)
-    return (srt[:, 0] == 0) | (srt[:, 1:] == srt[:, :-1]).any(axis=1)
-
-
 def _row_labels(block: np.ndarray) -> np.ndarray:
-    """Per matrix of a (count, m) uint64 block, m <= 64, each row's label:
-    the least index of a row equal to it, or m for a zero row.  Equal
-    label vectors mean equal signatures; returns (count, m) uint8."""
-    count, m = block.shape
-    order = np.argsort(block, axis=1, kind="stable")
-    srt = np.take_along_axis(block, order, axis=1)
+    """Per matrix of a (count, m, W) uint64 block, each row's label: the
+    least index of a row equal to it, or m for a zero row.  Equal label
+    vectors mean equal signatures; returns (count, m) labels in the least
+    unsigned dtype that holds m."""
+    keys = _row_keys(block)
+    count, m = keys.shape
+    order = np.argsort(keys, axis=1, kind="stable")
+    srt = np.take_along_axis(keys, order, axis=1)
     starts = np.ones((count, m), dtype=bool)
     starts[:, 1:] = srt[:, 1:] != srt[:, :-1]
     # A stable sort leads each run of equal rows with its least index.
     run_start = np.maximum.accumulate(np.where(starts, np.arange(m), 0), axis=1)
     least = np.take_along_axis(order, run_start, axis=1)
-    least[srt == 0] = m
-    labels = np.empty((count, m), dtype=np.uint8)
-    np.put_along_axis(labels, order, least.astype(np.uint8), axis=1)
+    least[srt == np.zeros((), srt.dtype)] = m
+    labels = np.empty((count, m), dtype=np.min_scalar_type(m))
+    np.put_along_axis(labels, order, least.astype(labels.dtype), axis=1)
     return labels
 
 
@@ -526,106 +507,58 @@ def _reducible_signatures(
 ):
     """Yield one (signature, matrix) per distinct reduction outcome.
 
-    Signature = (deleted set, equal-row partition).  Exhaustive under the
-    cap; beyond it, walks each zero-row / equal-row affine slice instead
-    (sampled deterministically), which is where all reducible matrices live.
-    Raises ``_DeadlineReached`` once ``deadline`` (``time.monotonic``) has
-    passed, checked once per scanned block (2^_BLOCK_MATRICES matrices) or
-    per affine slice.
+    Signature = (deleted set, equal-row partition).  Up to the cap the
+    whole magic space is scanned in binary order, one ``_span_blocks``
+    block at a time, at any row width; each block's reducible matrices
+    are labelled by signature together (``_row_labels``) and the first
+    matrix of every new signature is yielded.  Beyond the cap, every
+    reducible matrix lies in a zero-row or equal-row affine slice, and up
+    to 2^12 matrices of each solvable slice are sampled as one block: its
+    particular solution shifted by the span of its first 12 kernel
+    vectors, labelled the same way.  Raises ``_DeadlineReached`` once
+    ``deadline`` (``time.monotonic``) has passed, checked once per scanned
+    block or per affine slice.
     """
     d = len(nonmagic)
     m = h.vertex_count
+    width = (m + 63) // 64
+    vecs = np.array([_words(b, width) for b in nonmagic], dtype=np.uint64).reshape(d, m * width)
     seen: set = set()
 
-    def signature(rows: tuple[int, ...]):
-        classes: dict[int, list[int]] = {}
-        zero = []
-        for i, r in enumerate(rows):
-            if r == 0:
-                zero.append(i)
-            else:
-                classes.setdefault(r, []).append(i)
-        if not zero and all(len(c) == 1 for c in classes.values()):
-            return None
-        return (tuple(zero), tuple(sorted(tuple(c) for c in classes.values())))
+    def new_signatures(block: np.ndarray):
+        stats["inspected"] += block.shape[0]
+        reducible = block[_reducible_rows(block)]
+        labels = _row_labels(reducible)
+        keys = labels.tobytes()
+        step = m * labels.itemsize
+        for k in range(reducible.shape[0]):
+            key = keys[k * step : (k + 1) * step]
+            if key not in seen:
+                seen.add(key)
+                yield _labels_signature(labels[k].tolist(), m), _matrix_of_words(m, reducible[k])
 
     if d <= gram_cap:
-        # Batched scan: rows fit in uint64 for every bundled instance, so
-        # blocks of candidate matrices are screened for reducibility and
-        # labelled by signature together.
-        if m <= 64:
-            for block in _span_blocks(offset.rows, [b.rows for b in nonmagic], _block_low(m)):
-                _check_deadline(deadline)
-                stats["inspected"] += block.shape[0]
-                reducible = block[_reducible_rows(block)]
-                labels = _row_labels(reducible).tobytes()
-                for k in range(reducible.shape[0]):
-                    key = labels[k * m : (k + 1) * m]
-                    if key not in seen:
-                        seen.add(key)
-                        sig = _labels_signature(list(key), m)
-                        yield sig, BitMatrix(m, tuple(reducible[k].tolist()))
-            return
-        basis_rows = [list(b.rows) for b in nonmagic]
-        for step, rows in _gray_enumerate(list(offset.rows), basis_rows):
-            if not step % (1 << _BLOCK_MATRICES):
-                _check_deadline(deadline)
-            stats["inspected"] += 1
-            sig = signature(tuple(rows))
-            if sig is not None and sig not in seen:
-                seen.add(sig)
-                yield sig, BitMatrix(m, tuple(rows))
+        for block in _span_blocks(_words(offset, width), vecs, _block_low(m * width)):
+            _check_deadline(deadline)
+            yield from new_signatures(block.reshape(-1, m, width))
         return
 
-    # Affine-guided sampling: enumerate solutions of each defect system,
-    # capped per defect.
-    per_defect = 1 << 12
+    def combinations(xs: list[int]) -> np.ndarray:
+        """Per coefficient vector, XOR{nonmagic[l] : bit l set} as words."""
+        take = np.array([[(x >> l) & 1 for l in range(d)] for x in xs], dtype=np.uint64)
+        return np.bitwise_xor.reduce(vecs * take.reshape(len(xs), d, 1), axis=1)
+
+    base = np.array(_words(offset, width), dtype=np.uint64)
+    sample_low = 12
     for _, eqs, rhs in _defect_systems(offset, nonmagic):
         _check_deadline(deadline)
         x0 = solve_affine(eqs, rhs, d)
         if x0 is None:
             continue
-        kernel = null_space_basis(BitMatrix(d, tuple(eqs)))
-        xs = [x0.bits]
-        for kv in kernel:
-            if len(xs) >= per_defect:
-                break
-            xs = xs + [x ^ kv.bits for x in xs]
-        for x in xs[:per_defect]:
-            stats["inspected"] += 1
-            rows = list(offset.rows)
-            for l in range(d):
-                if (x >> l) & 1:
-                    rows = [a ^ b for a, b in zip(rows, nonmagic[l].rows)]
-            sig = signature(tuple(rows))
-            if sig is not None and sig not in seen:
-                seen.add(sig)
-                yield sig, BitMatrix(m, tuple(rows))
-
-
-def _has_reducible_magic_matrix(
-    offset: BitMatrix, nonmagic, gram_cap: int, deadline: float | None = None
-) -> bool:
-    """True iff some matrix in offset + span(nonmagic) has a zero or repeated row.
-
-    A block scan when the space holds at most ``_SCAN_ROWS`` matrix rows,
-    affine defect solves otherwise (both are exact answers to the
-    existence question).  Raises ``_DeadlineReached`` once ``deadline`` has
-    passed, checked once per block or per defect system.
-    """
-    d = len(nonmagic)
-    m = offset.num_rows
-    if m <= 64 and d <= gram_cap and m << d <= _SCAN_ROWS:
-        for block in _span_blocks(offset.rows, [b.rows for b in nonmagic], _block_low(m)):
-            _check_deadline(deadline)
-            if _reducible_rows(block).any():
-                return True
-        return False
-    for _, eqs, rhs in _defect_systems(offset, nonmagic):
-        _check_deadline(deadline)
-        if solve_affine(eqs, rhs, d) is not None:
-            return True
-    return False
+        kernel = null_space_basis(BitMatrix(d, tuple(eqs)))[:sample_low]
+        start, *shifts = combinations([x0.bits] + [kv.bits for kv in kernel])
+        (block,) = _span_blocks(base ^ start, shifts, sample_low)
+        yield from new_signatures(block.reshape(-1, m, width))
 
 
 def _signature_orbit(sig: tuple, gens: list[list[int]]) -> list[tuple]:
@@ -663,6 +596,11 @@ def find_minimal_descendants(
 
     Exhaustive whenever every visited hypergraph's magic space fits the
     enumeration cap and the budget is not exhausted; the report says which.
+    Past the cap a node's reductions are sampled, up to 2^12 matrices per
+    solvable defect slice (``_reducible_signatures``).  Each new class is
+    checked for minimality by the decision ``is_minimal`` makes
+    (``gram._has_reducible_matrix``): a block scan up to ``_SCAN_ROWS``
+    matrix rows, at any row width, defect solves past that.
     The time budget is checked between reductions and once per scanned
     block, so a search overruns ``max_seconds`` by about one block scan.
     Distinct reduction paths reproduce the same structure under different
@@ -732,8 +670,8 @@ def find_minimal_descendants(
                     child_space = valid_gram_space(child)
                     if child_space.magic_offset is None:
                         raise AssertionError("reduction output lost its magic Gram matrix")
-                    child_minimal = not _has_reducible_magic_matrix(
-                        child_space.magic_offset, child_space.nonmagic_basis, gram_cap, deadline
+                    child_minimal = not _has_reducible_matrix(
+                        child_space.magic_offset, child_space.nonmagic_basis, deadline
                     )
                     is_minimal_class[cert] = child_minimal
                     if child_minimal:

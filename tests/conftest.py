@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from magicsets import datasets, gram
-from magicsets.gf2 import BitMatrix, Echelon
+from magicsets.gf2 import BitMatrix, Echelon, null_space_basis, solve_affine
 from magicsets.gram import is_reduced, valid_gram_space
 from magicsets.hypergraph import Hypergraph
 from magicsets.reduce import reduce_with
@@ -168,3 +168,95 @@ def bfs_syndrome_weights(row_space: Echelon, length: int) -> np.ndarray:
             weights[nxt[weights[nxt] == unseen]] = dist
         frontier = np.flatnonzero(weights == dist)
     return weights
+
+
+def gray_enumerate(offset_rows: list[int], basis_rows: list[list[int]]):
+    """Yield (index, rows) for all offset + span(basis) matrices via Gray code.
+
+    The per-matrix walk the block scans replaced, kept as an oracle.  Rows
+    are mutated in place; callers must not keep references between
+    iterations.
+    """
+    current = list(offset_rows)
+    yield 0, current
+    d = len(basis_rows)
+    for step in range(1, 1 << d):
+        l = (step & -step).bit_length() - 1
+        b = basis_rows[l]
+        for i in range(len(current)):
+            current[i] ^= b[i]
+        yield step, current
+
+
+def loop_defect_systems(offset: BitMatrix, basis):
+    """``gram._defect_systems`` as it was first written, kept as its oracle:
+    every equation probed bit by bit over the basis."""
+    m = offset.num_rows
+    d = len(basis)
+    for i in range(m):
+        eqs, rhs = [], []
+        for j in range(m):
+            eq = 0
+            for l in range(d):
+                if (basis[l].rows[i] >> j) & 1:
+                    eq |= 1 << l
+            eqs.append(eq)
+            rhs.append((offset.rows[i] >> j) & 1)
+        yield ("zero", i), eqs, rhs
+    for i in range(m):
+        for j in range(i + 1, m):
+            eqs, rhs = [], []
+            for t in range(m):
+                eq = 0
+                for l in range(d):
+                    if ((basis[l].rows[i] ^ basis[l].rows[j]) >> t) & 1:
+                        eq |= 1 << l
+                eqs.append(eq)
+                rhs.append(((offset.rows[i] ^ offset.rows[j]) >> t) & 1)
+            yield ("equal", i, j), eqs, rhs
+
+
+def row_signature(rows) -> tuple | None:
+    """(zero rows, equal-row classes) of a matrix's rows, or None when it
+    has neither a zero row nor two equal rows."""
+    classes: dict[int, list[int]] = {}
+    zero = []
+    for i, r in enumerate(rows):
+        if r == 0:
+            zero.append(i)
+        else:
+            classes.setdefault(r, []).append(i)
+    if not zero and all(len(c) == 1 for c in classes.values()):
+        return None
+    return tuple(zero), tuple(sorted(tuple(c) for c in classes.values()))
+
+
+def doubling_signatures(offset: BitMatrix, basis, stats: dict):
+    """``reduce._reducible_signatures`` past its cap as it was first written,
+    kept as its oracle: per solvable defect slice, the particular solution
+    and its XOR doublings by the kernel vectors, up to 2^12 coefficient
+    vectors, each matrix built and signed in Python."""
+    d = len(basis)
+    m = offset.num_rows
+    seen: set = set()
+    per_defect = 1 << 12
+    for _, eqs, rhs in loop_defect_systems(offset, basis):
+        x0 = solve_affine(eqs, rhs, d)
+        if x0 is None:
+            continue
+        kernel = null_space_basis(BitMatrix(d, tuple(eqs)))
+        xs = [x0.bits]
+        for kv in kernel:
+            if len(xs) >= per_defect:
+                break
+            xs = xs + [x ^ kv.bits for x in xs]
+        for x in xs[:per_defect]:
+            stats["inspected"] += 1
+            rows = list(offset.rows)
+            for l in range(d):
+                if (x >> l) & 1:
+                    rows = [a ^ b for a, b in zip(rows, basis[l].rows)]
+            sig = row_signature(rows)
+            if sig is not None and sig not in seen:
+                seen.add(sig)
+                yield sig, BitMatrix(m, tuple(rows))

@@ -35,7 +35,6 @@ from magicsets.gf2 import (
 )
 from magicsets.gram import (
     NoMagicGramError,
-    _gray_enumerate,
     magic_parity,
     min_qubits,
     valid_gram_space,
@@ -46,6 +45,7 @@ from magicsets.orbits import ms327_hypergraph
 from conftest import (
     bfs_syndrome_weights,
     disjoint_union,
+    gray_enumerate,
     hb_descendants,
     random_proper_eulerian,
     relabelled,
@@ -83,7 +83,7 @@ def sweep_bound_oracle(h: Hypergraph) -> HypergraphBoundReport:
     space = valid_gram_space(h)
     reps: dict[int, None] = {}
     basis_rows = [list(b.rows) for b in space.nonmagic_basis]
-    for _, rows in _gray_enumerate(list(space.magic_offset.rows), basis_rows):
+    for _, rows in gray_enumerate(list(space.magic_offset.rows), basis_rows):
         g = BitMatrix(h.vertex_count, tuple(rows))
         a = assignment_from_gram(h, g, _rank_rows(list(rows)) // 2)
         reps.setdefault(row_space.reduce(a.context_signs.bits))

@@ -30,7 +30,7 @@ from magicsets.gf2 import (
     _row_combinations,
     _span_blocks,
 )
-from magicsets.reduce import _has_reducible_magic_matrix
+from magicsets.gram import _reducible_by_scan, _reducible_by_solves
 
 from conftest import bfs_syndrome_weights
 
@@ -629,12 +629,12 @@ class TestSpanBlocks:
 
     @pytest.mark.parametrize("d", [16, 17, 18])
     def test_reducibility_scan_matches_defect_solves(self, entries, d):
-        """HA's magic space truncated to d dimensions: the block scan (cap at
-        d) and the affine defect solves (cap below d) must agree."""
+        """HA's magic space truncated to d dimensions: the block scan and the
+        affine defect solves must agree."""
         space = gram.valid_gram_space(entries["HA"].hypergraph)
         offset, nonmagic = space.magic_offset, space.nonmagic_basis[:d]
-        scan = _has_reducible_magic_matrix(offset, nonmagic, gram_cap=d)
-        solves = _has_reducible_magic_matrix(offset, nonmagic, gram_cap=d - 1)
+        scan = _reducible_by_scan(offset, nonmagic)
+        solves = _reducible_by_solves(offset, nonmagic)
         assert scan == solves
 
     @pytest.mark.parametrize("name", [n for n in datasets.NAMES if n not in ("HA", "HC")])
@@ -643,9 +643,8 @@ class TestSpanBlocks:
         minimal structures answer False."""
         space = gram.valid_gram_space(entries[name].hypergraph)
         offset, nonmagic = space.magic_offset, space.nonmagic_basis
-        d = len(nonmagic)
-        scan = _has_reducible_magic_matrix(offset, nonmagic, gram_cap=d)
-        assert scan == _has_reducible_magic_matrix(offset, nonmagic, gram_cap=d - 1)
+        scan = _reducible_by_scan(offset, nonmagic)
+        assert scan == _reducible_by_solves(offset, nonmagic)
         assert scan == (not gram.is_minimal(entries[name].hypergraph))
 
 

@@ -20,7 +20,7 @@ from magicsets.gram import (
     magic_parity,
     min_qubits,
     _cocontext_pairs,
-    _gray_enumerate,
+    _defect_systems,
     valid_gram_space,
     validate_gram,
 )
@@ -29,7 +29,9 @@ from magicsets.pauli import gram_matrix_of
 
 from conftest import (
     disjoint_union,
+    gray_enumerate,
     hb_descendants,
+    loop_defect_systems,
     magic_descendant,
     random_proper_eulerian,
     relabelled,
@@ -245,6 +247,26 @@ class TestReducedMinimal:
             is_minimal(parse_edge_list("[[1,2],[2,3],[3,4],[4,1]]"))
 
 
+class TestDefectSystemsAgainstLoop:
+    """The transposed-table builder yields the bit-probing loop's systems."""
+
+    @staticmethod
+    def assert_same_systems(h: Hypergraph) -> None:
+        space = valid_gram_space(h)
+        args = space.magic_offset, space.nonmagic_basis
+        assert list(_defect_systems(*args)) == list(loop_defect_systems(*args))
+
+    @pytest.mark.parametrize("name", datasets.NAMES)
+    def test_bundled(self, entries, name):
+        self.assert_same_systems(entries[name].hypergraph)
+
+    def test_hb_descendants(self):
+        children = hb_descendants(max_dim=9)
+        assert len(children) == 6  # magic-space dimensions 1, 2, 3, 5, 7 and 9
+        for child in children:
+            self.assert_same_systems(child)
+
+
 def test_gram_consistency_with_pauli_verification(entries):
     # Magic decision through the inversion parity agrees with the
     # operator-level verification for every published assignment.
@@ -265,7 +287,7 @@ def gray_min_qubits(h: Hypergraph, enumeration_cap: int = 24) -> MinQubitsResult
     if d <= enumeration_cap:
         best_rank = best_rows = None
         searched = 0
-        for _, rows in _gray_enumerate(list(offset.rows), [list(b.rows) for b in basis]):
+        for _, rows in gray_enumerate(list(offset.rows), [list(b.rows) for b in basis]):
             searched += 1
             r = _rank_rows(rows)
             if best_rank is None or r < best_rank:

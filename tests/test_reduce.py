@@ -10,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magicsets.gf2 import BitMatrix, _block_low, _span_blocks
-from magicsets.gram import is_magic_gram, is_reduced, valid_gram_space
+from magicsets.gram import (
+    _has_reducible_matrix,
+    _reducible_rows,
+    _words,
+    is_magic_gram,
+    is_reduced,
+    valid_gram_space,
+)
 from magicsets.hypergraph import Hypergraph, is_proper_eulerian, parse_edge_list
 from magicsets.orbits import ms327_hypergraph
 from magicsets.pauli import decode, encode, gram_matrix_of
@@ -19,9 +26,7 @@ from magicsets.reduce import (
     DescentReport,
     RecipeError,
     ReductionRecipe,
-    _has_reducible_magic_matrix,
     _key_and_gens,
-    _reducible_rows,
     _reducible_signatures,
     _row_labels,
     apply_recipe,
@@ -35,11 +40,13 @@ from magicsets.reduce import (
 
 from conftest import (
     disjoint_union,
+    doubling_signatures,
     hb_descendants,
     magic_descendant,
     random_proper_eulerian,
     relabelled,
     rigid_blocks,
+    row_signature,
     seeded_magic_grams,
 )
 
@@ -289,53 +296,102 @@ class TestDescentLabelIndependence:
 def per_matrix_signatures(h: Hypergraph, block_low: int) -> list[tuple]:
     """The scan before numpy labels: each reducible matrix's signature
     built in Python, the first matrix of each signature kept in scan
-    order.  The oracle for ``_reducible_signatures``'s block scan."""
+    order.  The oracle for ``_reducible_signatures``'s block scan, at any
+    row width."""
     sp = valid_gram_space(h)
+    m = h.vertex_count
+    width = (m + 63) // 64
     seen, out = set(), []
-    blocks = _span_blocks(sp.magic_offset.rows, [b.rows for b in sp.nonmagic_basis], block_low)
+    offset = _words(sp.magic_offset, width)
+    blocks = _span_blocks(offset, [_words(b, width) for b in sp.nonmagic_basis], block_low)
     for block in blocks:
-        for idx in np.nonzero(_reducible_rows(block))[0]:
-            rows = tuple(int(r) for r in block[idx])
-            classes: dict[int, list[int]] = {}
-            zero = []
-            for i, r in enumerate(rows):
-                if r == 0:
-                    zero.append(i)
-                else:
-                    classes.setdefault(r, []).append(i)
-            sig = (tuple(zero), tuple(sorted(tuple(c) for c in classes.values())))
-            if sig not in seen:
+        for words in block.reshape(-1, m, width).tolist():
+            rows = tuple(sum(w << (64 * j) for j, w in enumerate(row)) for row in words)
+            sig = row_signature(rows)
+            if sig is not None and sig not in seen:
                 seen.add(sig)
-                out.append((sig, BitMatrix(h.vertex_count, rows)))
+                out.append((sig, BitMatrix(m, rows)))
+    return out
+
+
+def python_labels(block: np.ndarray) -> list[list[int]]:
+    """``_row_labels`` of a (count, m, W) block, one matrix at a time in Python."""
+    out = []
+    for matrix in block.tolist():
+        first: dict[tuple, int] = {}
+        m = len(matrix)
+        out.append([first.setdefault(tuple(r), i) if any(r) else m for i, r in enumerate(matrix)])
     return out
 
 
 class TestBlockSignatures:
     def test_row_labels(self):
+        # Four values per word, so equal rows are common and, past one
+        # word, rows that differ in one word only occur.
         rng = np.random.default_rng(7)
-        for m in (1, 2, 5, 64):
-            block = rng.integers(0, 4, size=(300, m)).astype(np.uint64) << np.uint64(62)
-            block[:, 0] ^= rng.integers(0, 2, size=300).astype(np.uint64)
-            want = []
-            for rows in block.tolist():
-                first: dict[int, int] = {}
-                want.append([m if r == 0 else first.setdefault(r, i) for i, r in enumerate(rows)])
-            assert _row_labels(block).tolist() == want
+        for width in (1, 2, 3):
+            for m in (1, 2, 5, 64):
+                block = rng.integers(0, 4, size=(300, m, width)).astype(np.uint64) << np.uint64(62)
+                block[:, 0, 0] ^= rng.integers(0, 2, size=300).astype(np.uint64)
+                labels = _row_labels(block)
+                assert labels.dtype == np.uint8
+                assert labels.tolist() == python_labels(block)
+
+    def test_row_labels_past_255(self):
+        # Row 299 repeats row 280 in the first matrix and row 24 in the
+        # second, and row 290 is zero: labels 280 and 300 need 16 bits.
+        m = 300
+        block = np.tile(np.arange(1, m + 1, dtype=np.uint64).reshape(1, m, 1), (2, 1, 1))
+        block[0, 299] = block[0, 280]
+        block[1, 299] = block[1, 24]
+        block[:, 290] = 0
+        labels = _row_labels(block)
+        assert labels.dtype == np.uint16
+        assert labels.tolist() == python_labels(block)
+        assert labels[0, 299] == 280 and labels[1, 299] == 24 and labels[0, 290] == m
+        assert labels[0].tobytes() != labels[1].tobytes()
 
     @pytest.mark.parametrize("low", [None, 3])
     def test_scan_matches_per_matrix_signatures(self, entries, monkeypatch, low):
         # Blocks of 8 matrices make most signatures recur in later blocks.
+        # HD beside 4 and 14 rigid blocks has rows of 69 and 129 bits (two
+        # and three words), the blocks' 24 and 84 vertices zero rows in
+        # every matrix.
         if low is not None:
             monkeypatch.setattr(reduce, "_block_low", lambda words: low)
         rng = random.Random(85)
-        hs = [entries["HB"].hypergraph, entries["HD"].hypergraph] + hb_descendants(max_dim=9)
+        hd = entries["HD"].hypergraph
+        wide = [disjoint_union(hd, rigid_blocks(4)), disjoint_union(hd, rigid_blocks(14))]
+        assert [h.vertex_count for h in wide] == [69, 129]
+        hs = [entries["HB"].hypergraph, hd] + hb_descendants(max_dim=9) + wide
         for h in hs + [relabelled(h, rng) for h in hs]:
             sp = valid_gram_space(h)
             stats = {"inspected": 0}
             got = list(_reducible_signatures(h, sp.magic_offset, sp.nonmagic_basis, 20, stats))
-            want = per_matrix_signatures(h, _block_low(h.vertex_count) if low is None else low)
+            words = h.vertex_count * ((h.vertex_count + 63) // 64)
+            want = per_matrix_signatures(h, _block_low(words) if low is None else low)
             assert got == want
             assert stats["inspected"] == 1 << len(sp.nonmagic_basis)
+
+
+class TestSampledSignatures:
+    """Past the cap, each solvable slice is sampled as one block, giving the
+    doubling loop's signatures, matrices and count."""
+
+    @pytest.mark.parametrize("name, cap", [("HD", 3), ("HB-d7", 6)])
+    def test_matches_doubling_oracle(self, entries, name, cap):
+        if name == "HD":
+            h = entries["HD"].hypergraph
+        else:
+            children = hb_descendants(max_dim=7)
+            (h,) = [c for c in children if len(valid_gram_space(c).nonmagic_basis) == 7]
+        sp = valid_gram_space(h)
+        assert len(sp.nonmagic_basis) > cap
+        got_stats, want_stats = {"inspected": 0}, {"inspected": 0}
+        got = list(_reducible_signatures(h, sp.magic_offset, sp.nonmagic_basis, cap, got_stats))
+        want = list(doubling_signatures(sp.magic_offset, sp.nonmagic_basis, want_stats))
+        assert got and got == want
+        assert got_stats == want_stats
 
 
 def unpruned_descent(h: Hypergraph, gram_cap: int = 20) -> DescentReport:
@@ -367,8 +423,8 @@ def unpruned_descent(h: Hypergraph, gram_cap: int = 20) -> DescentReport:
             child_minimal = is_minimal_class.get(cert)
             if child_minimal is None:
                 child_space = valid_gram_space(child)
-                child_minimal = not _has_reducible_magic_matrix(
-                    child_space.magic_offset, child_space.nonmagic_basis, gram_cap
+                child_minimal = not _has_reducible_matrix(
+                    child_space.magic_offset, child_space.nonmagic_basis
                 )
                 is_minimal_class[cert] = child_minimal
                 if child_minimal:
@@ -426,8 +482,8 @@ class TestOrbitPrunedDescent:
 
     def test_sampled_and_wide_scans(self, entries):
         # Past the cap the signatures come from the defect slices; beside
-        # four rigid blocks (69 vertices) from the Gray scan of wide rows,
-        # where the blocks' 24 vertices have zero rows in every matrix.
+        # four rigid blocks (69 vertices) from the block scan of two-word
+        # rows, where the blocks' 24 vertices have zero rows in every matrix.
         hd = entries["HD"].hypergraph
         rng = random.Random(83)
         self.assert_matches_unpruned(relabelled(hd, rng), gram_cap=3)
