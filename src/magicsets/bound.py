@@ -27,16 +27,13 @@ from .gf2 import (
     coset_min_weight,
     row_combination,
     _rank_rows,
+    _span_blocks,
 )
 from .gram import GramSpace, NoMagicGramError, valid_gram_space
 from .hypergraph import Hypergraph, incidence_matrix, is_proper_eulerian
 
 #: Default cap on the brute-force vertex count (2^m assignments).
 DEFAULT_BRUTE_FORCE_CAP = 30
-
-#: Default cap on magic-Gram enumeration inside hypergraph_bound.
-DEFAULT_GRAM_ENUM_CAP = 20
-
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -237,62 +234,27 @@ def _synthesized_rep(h: Hypergraph, g: BitMatrix, row_space: Echelon) -> int:
     return row_space.reduce(assignment_from_gram(h, g, k).context_signs.bits)
 
 
-def _pauli_sign_cosets(
-    h: Hypergraph, space: GramSpace, row_space: Echelon, gram_cap: int
-) -> tuple[dict[int, None], int, bool]:
-    """Sign cosets of magic Pauli assignments, from d+1 syntheses.
+def _gray_generators(deltas: list[int]) -> list[int]:
+    """The e_l = deltas[l] ^ deltas[l - 1] (deltas[-1] = 0) independent of
+    the e before them, in order; see ``hypergraph_bound`` for their use."""
+    gens, span, prev = [], Echelon(), 0
+    for delta in deltas:
+        e, prev = delta ^ prev, delta
+        if span.insert(e):
+            gens.append(e)
+    return gens
 
-    Returns (reps, matrices covered, exact).  reps holds each coset's
-    representative once, in the Gray-code order of the magic Gram
-    matrices offset + span(nonmagic_basis) that first realize it.  Past
-    ``gram_cap`` only the offset and its d single-basis shifts are covered.
-    """
+
+def _pauli_sign_cosets(h: Hypergraph, space: GramSpace, row_space: Echelon) -> tuple[int, list[int]]:
+    """Sign cosets of magic Pauli assignments, from d+1 syntheses, as
+    (r0, gens): the reps r0 ^ XOR{gens[k] : bit k of i}, i < 2^len(gens)."""
     offset = space.magic_offset
     r0 = _synthesized_rep(h, offset, row_space)
     deltas = [_synthesized_rep(h, offset ^ b, row_space) ^ r0 for b in space.nonmagic_basis]
-    d = len(deltas)
-    reps = {r0: None}
-    if d > gram_cap:
-        for delta in deltas:
-            reps.setdefault(r0 ^ delta)
-        return reps, d + 1, False
-    cur = r0
-    for step in range(1, 1 << d):
-        cur ^= deltas[(step & -step).bit_length() - 1]
-        reps.setdefault(cur)
-    return reps, 1 << d, True
+    return r0, _gray_generators(deltas)
 
 
-def _coset_weights(
-    row_space: Echelon, reps, n: int
-) -> tuple[list[int], bool, SyndromeTable | None]:
-    """Minimum weight of every coset rep + row(M), whether all are exact,
-    and the table they came from.
-
-    Lookups in one ``SyndromeTable`` when the codimension is at most
-    ``_TABLE_CODIM``; otherwise (table None) one ``coset_min_weight``
-    search per rep, which degrades to its best upper bound past its cap.
-    """
-    if n - row_space.rank <= _TABLE_CODIM:
-        table = SyndromeTable(row_space, n)
-        return table.coset_weights(reps), True, table
-    row_vecs = [BitVector(n, row) for row in row_space.pivots.values()]
-    weights, exact = [], True
-    for rep in reps:
-        try:
-            w, _ = coset_min_weight(row_vecs, BitVector(n, rep))
-        except CosetTooLargeError as err:
-            w = err.best_weight
-            exact = False
-        weights.append(w)
-    return weights, exact, None
-
-
-def hypergraph_bound(
-    h: Hypergraph,
-    pauli_only: bool = True,
-    gram_cap: int = DEFAULT_GRAM_ENUM_CAP,
-) -> HypergraphBoundReport:
+def hypergraph_bound(h: Hypergraph, pauli_only: bool = True) -> HypergraphBoundReport:
     """Minimum bound over magic assignments: b(H) = |E| - 2*max_C w(C).
 
     pauli_only: iterate the sign cosets of Pauli assignments realizing the
@@ -303,12 +265,14 @@ def hypergraph_bound(
 
     Coset weights come from one ``SyndromeTable`` of the row space: a
     suffix dynamic program over its 2^codim syndromes, about n * 2^codim
-    steps, after which each coset's exact minimum weight is a lookup.  The
-    all-assignments route selects the odd-popcount syndromes with numpy
-    (its codimension is at most ``gram_cap`` + 1, and at most 22, past
-    which it raises ValueError).  The Pauli-only route
-    uses the table when codim <= 22 and otherwise searches each coset with
-    ``coset_min_weight``.
+    steps, after which each coset's exact minimum weight is a lookup.  Both
+    routes list their cosets' syndromes with numpy and take the first of
+    the largest weight: all-assignments the odd-popcount syndromes in
+    ascending order, Pauli-only its image in the order below.  Past
+    codimension 22 (``_TABLE_CODIM``) the all-assignments route raises
+    ValueError, and the Pauli-only route searches each coset with
+    ``coset_min_weight`` and raises ValueError when its image has
+    dimension above 22, the same 2^22-coset limit.
 
     The Pauli-only route needs only d+1 syntheses for a magic space of
     dimension d, because the sign coset c + row(M) of an assignment is an
@@ -323,12 +287,18 @@ def hypergraph_bound(
     coset of c is a linear function of G.  Synthesizing at the magic
     offset and at offset + b_l for each nonmagic basis matrix b_l gives
     the coset of every magic matrix offset + sum x_l b_l as
-    rep(offset) + sum x_l (rep(offset + b_l) + rep(offset)).
+    r0 + sum x_l D_l, with r0 = rep(offset) and D_l = rep(offset + b_l) +
+    rep(offset).  So all 2^d matrices are covered (``gram_matrices_checked``).
 
-    ``gram_matrices_checked`` counts the magic Gram matrices covered: all
-    2^d of them up to ``gram_cap``; past it, the offset and its d
-    single-basis shifts, flagged inexact.  A ``coset_min_weight`` search
-    past its cap (codim above 22 and dimension above ``DEFAULT_COSET_CAP``),
+    The image is listed in the order a Gray walk over the matrices first
+    reaches each coset, in 2^rank(D) steps.  Gray step s visits x = s ^
+    (s >> 1), and sum x_l D_l = sum s_l e_l with e_l = D_l + D_{l-1}
+    (D_{-1} = 0).  The least s reaching a coset is supported on the l whose
+    e_l is independent of e_0..e_{l-1}: any other l tops a kernel vector,
+    whose XOR clears bit l and changes only lower ones.  So counting up in
+    binary over those e_l (``_gray_generators``) lists each coset at its
+    first Gray step, in the same order.  A ``coset_min_weight`` search past
+    its cap (codim above 22 and dimension above ``DEFAULT_COSET_CAP``),
     here or in the ``noncontextual_bound`` of the maximizing coset,
     degrades to a flagged upper bound on its weight.
     """
@@ -338,6 +308,7 @@ def hypergraph_bound(
     n = h.num_edges
     M = incidence_matrix(h)
     ech = Echelon(M.rows)
+    codim = n - ech.rank
     grams_checked = None
 
     space = valid_gram_space(h)
@@ -345,33 +316,49 @@ def hypergraph_bound(
         raise NoMagicGramError(f"{h.name or 'hypergraph'} admits no magic Gram matrix")
 
     if pauli_only:
-        reps, grams_checked, exact = _pauli_sign_cosets(h, space, ech, gram_cap)
-        weights, weights_exact, table = _coset_weights(ech, reps, n)
-        exact = exact and weights_exact
-        # The first coset of the largest weight, in the order reps were found.
-        best_rep, _ = max(zip(reps, weights), key=lambda item: item[1])
-        cosets = len(reps)
-    else:
-        exact = True
-        codim = n - ech.rank
+        r0, gens = _pauli_sign_cosets(h, space, ech)
+        grams_checked = 1 << len(space.nonmagic_basis)
+        if len(gens) > _TABLE_CODIM:
+            raise ValueError(
+                f"Pauli sign cosets span dimension {len(gens)}, over _TABLE_CODIM = {_TABLE_CODIM}"
+            )
+    elif codim > _TABLE_CODIM:
         # The table holds at most 2^_TABLE_CODIM syndromes.  Its constructor
         # refuses a larger codimension too; that check only backs up direct
         # callers, and this one words the refusal for the bound.
-        cap = min(gram_cap, _TABLE_CODIM - 1)
-        if codim - 1 > cap:
-            raise ValueError(f"odd-coset enumeration needs 2^{codim - 1} cosets, over cap {cap}")
-        # A representative supported on the free columns is its own
-        # syndrome; rows of a proper Eulerian incidence matrix are even, so
-        # coset parity is the representative's parity and the odd cosets
-        # are the odd-popcount syndromes, half of all cosets.
-        table = SyndromeTable(ech, n)
-        syndromes = np.arange(1 << codim, dtype=np.uint64)
-        odd = syndromes[np.bitwise_count(syndromes) & 1 == 1]
-        # The first coset of the largest weight, in ascending syndrome order.
-        best_rep = table.lift(int(odd[np.argmax(table.weights[odd])]))
-        cosets = len(odd)
+        raise ValueError(f"odd-coset enumeration needs 2^{codim - 1} cosets, over cap {_TABLE_CODIM - 1}")
 
-    # The coset's bound, from the table of the route when it built one.
+    exact, table = True, None
+    if codim > _TABLE_CODIM:  # Pauli-only: one search per coset
+        reps = [r0]
+        for g in gens:
+            reps += [r ^ g for r in reps]
+        row_vecs = [BitVector(n, row) for row in ech.pivots.values()]
+        weights = []
+        for rep in reps:
+            try:
+                weights.append(coset_min_weight(row_vecs, BitVector(n, rep))[0])
+            except CosetTooLargeError as err:
+                weights.append(err.best_weight)
+                exact = False
+        best_rep = reps[weights.index(max(weights))]
+        cosets = len(reps)
+    else:
+        table = SyndromeTable(ech, n)
+        if pauli_only:  # syndromes are linear
+            gen_syndromes = [[table.syndrome(g)] for g in gens]
+            syndromes = next(_span_blocks([table.syndrome(r0)], gen_syndromes, len(gens))).ravel()
+        else:
+            # A representative supported on the free columns is its own
+            # syndrome; rows of a proper Eulerian incidence matrix are even,
+            # so coset parity is the representative's parity and the odd
+            # cosets are the odd-popcount syndromes, half of all cosets.
+            syndromes = np.arange(1 << codim, dtype=np.uint64)
+            syndromes = syndromes[np.bitwise_count(syndromes) & 1 == 1]
+        best_rep = table.lift(int(syndromes[np.argmax(table.weights[syndromes])]))
+        cosets = len(syndromes)
+
+    # The coset's bound, from the table when the route built one.
     base = _coset_bound(h, M, BitVector(n, best_rep), table)
     return HypergraphBoundReport(
         report=base,
@@ -392,5 +379,4 @@ __all__ = [
     "tolerated_error",
     "format_epsilon",
     "DEFAULT_BRUTE_FORCE_CAP",
-    "DEFAULT_GRAM_ENUM_CAP",
 ]

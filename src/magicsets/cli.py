@@ -21,7 +21,7 @@ from .bound import (
     hypergraph_bound,
     noncontextual_bound,
 )
-from .gf2 import BitVector
+from .gf2 import DEFAULT_COSET_CAP, BitVector
 from .gram import (
     NoMagicGramError,
     NotProperEulerianError,
@@ -199,7 +199,8 @@ def cmd_bound(args) -> int:
     eps = format_epsilon(rep.epsilon, args.decimals)
     lines = [f"b/Q = {rep.b}/{rep.Q}    epsilon = {eps}    w_min = {rep.w_min}"]
     if not rep.exact:
-        lines.append("warning: enumeration capped; b is the best bound found")
+        lines.append(f"warning: coset search capped at DEFAULT_COSET_CAP = {DEFAULT_COSET_CAP}; "
+                     "b is the best bound found")
     _emit(doc, args.json, lines)
     return EXIT_OK
 

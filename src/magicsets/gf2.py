@@ -588,10 +588,6 @@ class SyndromeTable:
                 s ^= self.units[i]
         return v
 
-    def coset_weights(self, vectors: Iterable[int]) -> list[int]:
-        """Minimum Hamming weight over v + row space, per vector v."""
-        return self.weights[[self.syndrome(v) for v in vectors]].tolist()
-
 
 __all__ = [
     "BitVector",

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from magicsets import datasets, gram
+from magicsets import bound, datasets, gram
 from magicsets.gf2 import BitMatrix, Echelon, null_space_basis, solve_affine
 from magicsets.gram import is_reduced, valid_gram_space
 from magicsets.hypergraph import Hypergraph
@@ -186,6 +186,31 @@ def gray_enumerate(offset_rows: list[int], basis_rows: list[list[int]]):
         for i in range(len(current)):
             current[i] ^= b[i]
         yield step, current
+
+
+def gray_sign_cosets(r0: int, deltas: list[int]) -> list[int]:
+    """Each element of r0 + span(deltas) once, in the order a Gray walk over
+    the coefficient vectors first reaches it.
+
+    The walk ``bound._pauli_sign_cosets`` ran before it returned the
+    image's generators, kept as the oracle of their order.
+    """
+    reps = {r0: None}
+    cur = r0
+    for step in range(1, 1 << len(deltas)):
+        cur ^= deltas[(step & -step).bit_length() - 1]
+        reps.setdefault(cur)
+    return list(reps)
+
+
+def gray_pauli_sign_cosets(h: Hypergraph, row_space: Echelon) -> list[int]:
+    """The Pauli sign-coset reps of h from d+1 syntheses, in the order the
+    Gray walk over its 2^d magic Gram matrices first realizes them."""
+    space = valid_gram_space(h)
+    offset = space.magic_offset
+    r0 = bound._synthesized_rep(h, offset, row_space)
+    deltas = [bound._synthesized_rep(h, offset ^ b, row_space) ^ r0 for b in space.nonmagic_basis]
+    return gray_sign_cosets(r0, deltas)
 
 
 def loop_defect_systems(offset: BitMatrix, basis):

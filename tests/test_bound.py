@@ -9,11 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magicsets import bound, datasets, gf2
 from magicsets.assign import assignment_from_gram
 from magicsets.bound import (
-    DEFAULT_GRAM_ENUM_CAP,
     HypergraphBoundReport,
     brute_force_bound,
     format_epsilon,
@@ -46,7 +47,10 @@ from conftest import (
     bfs_syndrome_weights,
     disjoint_union,
     gray_enumerate,
+    gray_pauli_sign_cosets,
+    gray_sign_cosets,
     hb_descendants,
+    magic_descendant,
     random_proper_eulerian,
     relabelled,
     rigid_blocks,
@@ -61,6 +65,10 @@ from conftest import (
 #: SyndromeTable, which the oracles below check.  Both HD entries were
 #: rewritten once the table's leaders made every coset search exact there
 #: (its row space has rank 36, past the old cap on searched dimensions).
+#: The Pauli-only entries of HA (d = 30) and HC (d = 26) were rewritten
+#: once that route listed the whole sign-coset image at every magic-space
+#: dimension; before, past d = 20, it covered only the magic offset and its
+#: d single-basis shifts and flagged the bound inexact.
 #: Rewrite named entries with ``PYTHONPATH=src python tests/test_bound.py
 #: NAME...`` (only when an output change is intended).
 GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "hypergraph_bound_golden.json"
@@ -113,9 +121,9 @@ def shared_enumeration_oracle(row_space: Echelon, reps, n: int) -> list[int]:
     """Minimum weight of every coset rep + row(M) from one numpy
     enumeration of row(M) shared by all reps (n <= 64).
 
-    The branch of ``bound._coset_weights`` that the SyndromeTable lookup
-    replaced, kept as its test oracle.  Blocks of at most 2^20 elements
-    keep its memory small up to rank 25.
+    The scorer that the SyndromeTable lookup replaced in
+    ``hypergraph_bound``, kept as its test oracle.  Blocks of at most 2^20
+    elements keep its memory small up to rank 25.
     """
     rows = list(row_space.pivots.values())
     best = [n] * len(reps)
@@ -126,29 +134,35 @@ def shared_enumeration_oracle(row_space: Echelon, reps, n: int) -> list[int]:
     return best
 
 
+def binary_span(r0: int, gens: list[int]) -> list[int]:
+    """r0 ^ XOR{gens[k] : bit k of i} at index i < 2^len(gens)."""
+    reps = [r0]
+    for g in gens:
+        reps += [r ^ g for r in reps]
+    return reps
+
+
 def pauli_reps(h: Hypergraph) -> tuple[Echelon, list[int]]:
     """The incidence row space and the Pauli sign-coset reps hypergraph_bound scores."""
     row_space = Echelon(incidence_matrix(h).rows)
-    reps, _, _ = bound._pauli_sign_cosets(h, valid_gram_space(h), row_space, DEFAULT_GRAM_ENUM_CAP)
-    return row_space, list(reps)
+    return row_space, binary_span(*bound._pauli_sign_cosets(h, valid_gram_space(h), row_space))
 
 
 def assert_weights_match_oracles(h: Hypergraph, row_space: Echelon, reps: list[int]) -> None:
-    """The table, and bound._coset_weights, against the breadth-first table,
-    the per-rep branch-and-bound search (weight and witness) and, up to
-    rank 25, the shared enumeration."""
+    """The table against the breadth-first table, the per-rep
+    branch-and-bound search (weight and witness) and, up to rank 25, the
+    shared enumeration (of 16 reps past rank 20)."""
     n = h.num_edges
     table = SyndromeTable(row_space, n)
     assert table.weights.tolist() == bfs_syndrome_weights(row_space, n).tolist()
-    got = table.coset_weights(reps)
+    got = table.weights[[table.syndrome(rep) for rep in reps]].tolist()
     basis = row_space.rref()
     searched = [_min_weight_dfs(basis, rep, n) for rep in reps]
     assert searched == [(w, table.leader(table.syndrome(rep))) for w, rep in zip(got, reps)]
-    if row_space.rank <= 25:
+    if row_space.rank <= 20:
         assert got == shared_enumeration_oracle(row_space, reps, n)
-    weights, exact, route_table = bound._coset_weights(row_space, reps, n)
-    assert (weights, exact) == (got, True)
-    assert route_table.weights.tolist() == table.weights.tolist()
+    elif row_space.rank <= 25:  # HA: 2^25 elements, so its first 16 reps only
+        assert got[:16] == shared_enumeration_oracle(row_space, reps[:16], n)
 
 
 class TestNoncontextualBound:
@@ -380,12 +394,41 @@ class TestHypergraphBound:
             hypergraph_bound(parse_edge_list("[[1,2],[2,3],[3,4],[4,1]]"), pauli_only=False)
 
     def test_all_assignments_route_stops_at_table_codimension(self, entries):
-        # HD (codim 9) beside one rigid block (codim 14): codim 23, within a
-        # user gram_cap of 30 but past the table's 22.
+        # HD (codim 9) beside one rigid block (codim 14): codim 23, past the
+        # table's 22.
         h = disjoint_union(entries["HD"].hypergraph, rigid_blocks(1))
         assert h.num_edges - Echelon(incidence_matrix(h).rows).rank == 23
         with pytest.raises(ValueError, match=r"needs 2\^22 cosets, over cap 21"):
-            hypergraph_bound(h, pauli_only=False, gram_cap=30)
+            hypergraph_bound(h, pauli_only=False)
+
+    def test_pauli_route_past_table_codimension(self, entries):
+        """Past the table each Pauli sign coset is searched on its own; here
+        the search of HD's one coset at codim 23 hits coset_min_weight's
+        dimension cap, so the bound is flagged inexact."""
+        h = disjoint_union(entries["HD"].hypergraph, rigid_blocks(1))
+        rep = hypergraph_bound(h, pauli_only=True)
+        assert rep.to_json_dict() == sweep_bound_oracle(h).to_json_dict()
+        assert (rep.report.b, rep.exact, rep.cosets_checked, rep.gram_matrices_checked) == (51, False, 1, 32)
+        assert str(rep.maximizing_signs) == "00000000000000000000000000000000000011101011100000000000000000000"
+
+    def test_pauli_route_per_coset_searches_match_table(self, entries, monkeypatch):
+        """With the table limit just below the codimension, the Pauli route
+        searches each coset with coset_min_weight and reports the same."""
+        inputs = [entries[name].hypergraph for name in ("MS3-27b", "HD", "pentagram")]
+        inputs += hb_descendants(max_dim=6)
+        for h in inputs:
+            want = hypergraph_bound(h, pauli_only=True).to_json_dict()
+            codim = h.num_edges - Echelon(incidence_matrix(h).rows).rank
+            monkeypatch.setattr(bound, "_TABLE_CODIM", codim - 1)
+            assert hypergraph_bound(h, pauli_only=True).to_json_dict() == want
+            monkeypatch.undo()
+
+    def test_pauli_route_stops_past_table_image_dimension(self, entries, monkeypatch):
+        # HB's sign cosets span dimension 14: with the table limit at 10 the
+        # route takes the per-coset searches and refuses 2^14 of them.
+        monkeypatch.setattr(bound, "_TABLE_CODIM", 10)
+        with pytest.raises(ValueError, match=r"span dimension 14, over _TABLE_CODIM = 10"):
+            hypergraph_bound(entries["HB"].hypergraph, pauli_only=True)
 
 
 class TestSyndromeTable:
@@ -461,10 +504,15 @@ class TestRoutes:
         codim = h.num_edges - Echelon(incidence_matrix(h).rows).rank
         assert every.cosets_checked == 1 << (codim - 1)
         assert every.maximizing_signs.weight() % 2 == 1
-        if pauli.exact and every.exact:
-            assert pauli.report.b >= every.report.b
+        assert pauli.exact and every.exact
+        assert pauli.report.b >= every.report.b
+        if name == "HA":
+            assert pauli.report.b == every.report.b == 26
 
-    @pytest.mark.parametrize("name,pauli_only", [("HB", True), ("HB", False), ("HC", False)])
+    @pytest.mark.parametrize(
+        "name,pauli_only",
+        [("HA", True), ("HB", True), ("HB", False), ("HC", True), ("HC", False)],
+    )
     def test_within_budget(self, entries, name, pauli_only):
         start = time.perf_counter()
         rep = hypergraph_bound(entries[name].hypergraph, pauli_only=pauli_only)
@@ -473,6 +521,53 @@ class TestRoutes:
         if name == "HB":
             assert rep.cosets_checked == 16384
             assert rep.gram_matrices_checked == (16384 if pauli_only else None)
+
+
+class TestSignCosetOrder:
+    """The image's generators, counted up in binary, list the sign cosets in
+    the order the Gray walk over the magic Gram matrices first reaches them."""
+
+    def assert_order(self, h: Hypergraph) -> None:
+        row_space, reps = pauli_reps(h)
+        assert reps == gray_pauli_sign_cosets(h, row_space)
+
+    @pytest.mark.parametrize(
+        "name", [n for n in datasets.NAMES if n not in ("HA", "HC")]  # d = 30, 26
+    )
+    def test_bundled(self, entries, name):
+        h = entries[name].hypergraph
+        assert len(valid_gram_space(h).nonmagic_basis) <= 20
+        self.assert_order(h)
+
+    def test_hb_descendants_relabelled(self):
+        rng = random.Random(89)
+        for child in hb_descendants(max_dim=12):
+            for _ in range(2):
+                self.assert_order(relabelled(child, rng))
+
+    @given(st.sampled_from(["HD", "MS3-27b"]), st.integers(0, 2**32))
+    @settings(max_examples=20, deadline=None)
+    def test_random_magic_descendants(self, name, seed):
+        self.assert_order(magic_descendant(name, random.Random(seed)))
+
+    @given(st.integers(0, 2**32))
+    @settings(max_examples=200, deadline=None)
+    def test_random_deltas(self, seed):
+        """Delta lists built with repeats and combinations of earlier ones, so
+        most have dependencies."""
+        rng = random.Random(seed)
+        width = rng.randint(1, 12)
+        deltas = []
+        for _ in range(rng.randint(0, 10)):
+            delta = 0
+            if deltas and rng.random() < 0.5:
+                for earlier in rng.sample(deltas, rng.randint(1, len(deltas))):
+                    delta ^= earlier
+            else:
+                delta = rng.getrandbits(width)
+            deltas.append(delta)
+        r0 = rng.getrandbits(width)
+        assert binary_span(r0, bound._gray_generators(deltas)) == gray_sign_cosets(r0, deltas)
 
 
 class TestToleratedError:

@@ -79,6 +79,15 @@ class TestBound:
         doc = json.loads(capsys.readouterr().out)
         assert doc["b"] == 17 and doc["pauli_only"] is True
 
+    def test_capped_warning_names_cap(self, tmp_path, capsys):
+        # K_33 as 528 pair contexts: row-space rank 32 past the coset search
+        # cap of 30 and codimension 496 past the syndrome table.
+        hpath = tmp_path / "k33.txt"
+        hpath.write_text(json.dumps([[a, b] for a in range(1, 34) for b in range(a + 1, 34)]))
+        assert main(["bound", str(hpath), "--signs", "1" * 527 + "0"]) == 0
+        out = capsys.readouterr().out
+        assert "coset search capped at DEFAULT_COSET_CAP = 30" in out
+
     def test_missing_signs(self, ms3_27b_file, capsys):
         assert main(["bound", ms3_27b_file]) == 2
 
