@@ -16,7 +16,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .assign import assignment_from_gram
 from .gf2 import (
     _TABLE_CODIM,
     BitMatrix,
@@ -25,11 +24,11 @@ from .gf2 import (
     Echelon,
     SyndromeTable,
     coset_min_weight,
+    null_space_basis,
     row_combination,
-    _rank_rows,
     _span_blocks,
 )
-from .gram import GramSpace, NoMagicGramError, valid_gram_space
+from .gram import GramSpace, NoMagicGramError, _inversion_masks, _parity_via_masks, valid_gram_space
 from .hypergraph import Hypergraph, incidence_matrix, is_proper_eulerian
 
 #: Default cap on the brute-force vertex count (2^m assignments).
@@ -108,27 +107,20 @@ def noncontextual_bound(h: Hypergraph, c: BitVector) -> BoundReport:
     n = h.num_edges
     if c.length != n:
         raise ValueError(f"sign vector length {c.length}, expected {n}")
-    return _coset_bound(h, incidence_matrix(h), c, None)
+    M = incidence_matrix(h)
+    try:
+        _, y = coset_min_weight([BitVector(n, r) for r in M.rows], c)
+    except CosetTooLargeError as err:
+        return _coset_bound(h, M, c, err.best_witness, False)
+    return _coset_bound(h, M, c, y, True)
 
 
-def _coset_bound(h: Hypergraph, M: BitMatrix, c: BitVector, table: SyndromeTable | None) -> BoundReport:
-    """``noncontextual_bound`` of c, for M the incidence matrix of h.
-
-    ``table``, when given, is the ``SyndromeTable`` of ``Echelon(M.rows)``,
-    the one ``coset_min_weight`` would build, and its leader is the coset
-    witness; otherwise ``coset_min_weight`` finds it.
-    """
+def _coset_bound(h: Hypergraph, M: BitMatrix, c: BitVector, y: BitVector, exact: bool) -> BoundReport:
+    """``noncontextual_bound`` of c, for M the incidence matrix of h, from
+    y, the least-weight element of c + row(M) its caller found (the
+    lightest it found when ``exact`` is False)."""
     n = h.num_edges
-    exact = True
-    if table is not None:
-        y = BitVector(n, table.leader(table.syndrome(c.bits)))
-        w_min = y.weight()
-    else:
-        try:
-            w_min, y = coset_min_weight([BitVector(n, r) for r in M.rows], c)
-        except CosetTooLargeError as err:
-            w_min, y = err.best_weight, err.best_witness
-            exact = False
+    w_min = y.weight()
     x = row_combination(M.rows, y.bits ^ c.bits)
     if x is None:
         raise AssertionError("coset witness not reachable from the row space")
@@ -228,12 +220,6 @@ class HypergraphBoundReport:
         return doc
 
 
-def _synthesized_rep(h: Hypergraph, g: BitMatrix, row_space: Echelon) -> int:
-    """Coset representative of the context signs of one assignment realizing g."""
-    k = _rank_rows(g.rows) // 2
-    return row_space.reduce(assignment_from_gram(h, g, k).context_signs.bits)
-
-
 def _gray_generators(deltas: list[int]) -> list[int]:
     """The e_l = deltas[l] ^ deltas[l - 1] (deltas[-1] = 0) independent of
     the e before them, in order; see ``hypergraph_bound`` for their use."""
@@ -245,13 +231,20 @@ def _gray_generators(deltas: list[int]) -> list[int]:
     return gens
 
 
-def _pauli_sign_cosets(h: Hypergraph, space: GramSpace, row_space: Echelon) -> tuple[int, list[int]]:
-    """Sign cosets of magic Pauli assignments, from d+1 syntheses, as
-    (r0, gens): the reps r0 ^ XOR{gens[k] : bit k of i}, i < 2^len(gens)."""
-    offset = space.magic_offset
-    r0 = _synthesized_rep(h, offset, row_space)
-    deltas = [_synthesized_rep(h, offset ^ b, row_space) ^ r0 for b in space.nonmagic_basis]
-    return r0, _gray_generators(deltas)
+def _pauli_sign_cosets(h: Hypergraph, space: GramSpace, M: BitMatrix) -> tuple[int, list[int]]:
+    """Sign cosets of magic Pauli assignments, for M the incidence matrix of
+    h, as (r0, gens): the reps r0 ^ XOR{gens[k] : bit k of i}, i <
+    2^len(gens), read off the Gram matrices by inversion parities over
+    the cycle basis (see ``hypergraph_bound``)."""
+    cycles = [
+        (y.bits.bit_length() - 1, _inversion_masks(h, tuple(j for j in range(M.cols) if y[j])))
+        for y in null_space_basis(M)
+    ]
+
+    def rep(g: BitMatrix) -> int:
+        return sum(_parity_via_masks(g.rows, masks) << f for f, masks in cycles)
+
+    return rep(space.magic_offset), _gray_generators([rep(b) for b in space.nonmagic_basis])
 
 
 def hypergraph_bound(h: Hypergraph, pauli_only: bool = True) -> HypergraphBoundReport:
@@ -274,21 +267,25 @@ def hypergraph_bound(h: Hypergraph, pauli_only: bool = True) -> HypergraphBoundR
     ``coset_min_weight`` and raises ValueError when its image has
     dimension above 22, the same 2^22-coset limit.
 
-    The Pauli-only route needs only d+1 syntheses for a magic space of
-    dimension d, because the sign coset c + row(M) of an assignment is an
-    affine function of its Gram matrix G.  Proof: take an edge set y in
-    which every vertex occurs an even number of times, i.e. M.y = 0 for
-    the incidence matrix M.  The product of y's contexts, in stored order,
-    is (-1)^<c, y> I.  Sorting that word by vertex swaps adjacent P_a, P_b
-    at a sign (-1)^G_ab each; every P_v then occurs an even number of
-    times and the sorted word is I.  So <c, y> is the inversion parity of
-    G over y's concatenation, the ``magic_parity`` functional restricted
-    to y, which is linear in G.  GF(2)^n / row(M) is dual to ker M, so the
-    coset of c is a linear function of G.  Synthesizing at the magic
-    offset and at offset + b_l for each nonmagic basis matrix b_l gives
-    the coset of every magic matrix offset + sum x_l b_l as
-    r0 + sum x_l D_l, with r0 = rep(offset) and D_l = rep(offset + b_l) +
-    rep(offset).  So all 2^d matrices are covered (``gram_matrices_checked``).
+    The Pauli-only route synthesizes no assignment: the sign coset c +
+    row(M) of an assignment is a linear function of its Gram matrix G,
+    read off G by d+1 parity evaluations for a magic space of dimension d.
+    Proof: take an edge set y in which every vertex occurs an even number
+    of times, i.e. M.y = 0 for the incidence matrix M.  The product of y's
+    contexts, in stored order, is (-1)^<c, y> I.  Sorting that word by
+    vertex swaps adjacent P_a, P_b at a sign (-1)^G_ab each; every P_v then
+    occurs an even number of times and the sorted word is I.  So <c, y> is
+    the inversion parity of G over y's concatenation, the ``magic_parity``
+    functional restricted to y, which is linear in G.  The coset's
+    representative ``Echelon(M.rows).reduce(c)`` is supported on the free
+    columns, and the cycle basis ``null_space_basis(M)`` has one vector
+    y_f per free column f, whose only free column, and highest set bit, is
+    f.  So bit f of the representative is <c, y_f>, one parity of G over
+    y_f's contexts (``gram._inversion_masks``).  Evaluating these at the
+    magic offset and at each nonmagic basis matrix b_l gives the coset of
+    every magic matrix offset + sum x_l b_l as r0 + sum x_l D_l, with r0 =
+    rep(offset) and D_l = rep(b_l).  So all 2^d matrices are covered
+    (``gram_matrices_checked``).
 
     The image is listed in the order a Gray walk over the matrices first
     reaches each coset, in 2^rank(D) steps.  Gray step s visits x = s ^
@@ -297,10 +294,10 @@ def hypergraph_bound(h: Hypergraph, pauli_only: bool = True) -> HypergraphBoundR
     e_l is independent of e_0..e_{l-1}: any other l tops a kernel vector,
     whose XOR clears bit l and changes only lower ones.  So counting up in
     binary over those e_l (``_gray_generators``) lists each coset at its
-    first Gray step, in the same order.  A ``coset_min_weight`` search past
-    its cap (codim above 22 and dimension above ``DEFAULT_COSET_CAP``),
-    here or in the ``noncontextual_bound`` of the maximizing coset,
-    degrades to a flagged upper bound on its weight.
+    first Gray step, in the same order.  Past codimension 22 each coset
+    is searched once, and the maximizing coset's report reuses the leader
+    its search found.  A search past its cap (dimension above
+    ``DEFAULT_COSET_CAP``) degrades to a flagged upper bound on its weight.
     """
     ok, diag = is_proper_eulerian(h)
     if not ok:
@@ -316,7 +313,7 @@ def hypergraph_bound(h: Hypergraph, pauli_only: bool = True) -> HypergraphBoundR
         raise NoMagicGramError(f"{h.name or 'hypergraph'} admits no magic Gram matrix")
 
     if pauli_only:
-        r0, gens = _pauli_sign_cosets(h, space, ech)
+        r0, gens = _pauli_sign_cosets(h, space, M)
         grams_checked = 1 << len(space.nonmagic_basis)
         if len(gens) > _TABLE_CODIM:
             raise ValueError(
@@ -328,20 +325,20 @@ def hypergraph_bound(h: Hypergraph, pauli_only: bool = True) -> HypergraphBoundR
         # callers, and this one words the refusal for the bound.
         raise ValueError(f"odd-coset enumeration needs 2^{codim - 1} cosets, over cap {_TABLE_CODIM - 1}")
 
-    exact, table = True, None
     if codim > _TABLE_CODIM:  # Pauli-only: one search per coset
         reps = [r0]
         for g in gens:
             reps += [r ^ g for r in reps]
         row_vecs = [BitVector(n, row) for row in ech.pivots.values()]
-        weights = []
+        found = []  # (weight, leader, exact) per coset
         for rep in reps:
             try:
-                weights.append(coset_min_weight(row_vecs, BitVector(n, rep))[0])
+                found.append((*coset_min_weight(row_vecs, BitVector(n, rep)), True))
             except CosetTooLargeError as err:
-                weights.append(err.best_weight)
-                exact = False
-        best_rep = reps[weights.index(max(weights))]
+                found.append((err.best_weight, err.best_witness, False))
+        best = max(range(len(reps)), key=lambda i: found[i][0])  # the first of the largest
+        best_rep, (_, leader, leader_exact) = reps[best], found[best]
+        exact = all(e for _, _, e in found)
         cosets = len(reps)
     else:
         table = SyndromeTable(ech, n)
@@ -355,18 +352,20 @@ def hypergraph_bound(h: Hypergraph, pauli_only: bool = True) -> HypergraphBoundR
             # cosets are the odd-popcount syndromes, half of all cosets.
             syndromes = np.arange(1 << codim, dtype=np.uint64)
             syndromes = syndromes[np.bitwise_count(syndromes) & 1 == 1]
-        best_rep = table.lift(int(syndromes[np.argmax(table.weights[syndromes])]))
+        best = int(syndromes[np.argmax(table.weights[syndromes])])
+        best_rep, leader = table.lift(best), BitVector(n, table.leader(best))
+        exact = leader_exact = True
         cosets = len(syndromes)
 
-    # The coset's bound, from the table when the route built one.
-    base = _coset_bound(h, M, BitVector(n, best_rep), table)
+    # The maximizing coset's bound, from the leader its scoring found.
+    base = _coset_bound(h, M, BitVector(n, best_rep), leader, leader_exact)
     return HypergraphBoundReport(
         report=base,
         pauli_only=pauli_only,
         cosets_checked=cosets,
         gram_matrices_checked=grams_checked,
         maximizing_signs=BitVector(n, best_rep),
-        exact=exact and base.exact,
+        exact=exact,
     )
 
 

@@ -37,7 +37,7 @@ from .hypergraph import (
     parse_edge_list,
 )
 from .orbits import OrbitCapError, PermutationGroup, candidate_hypergraphs, subset_orbits
-from .pauli import MagicAssignment, verify_assignment
+from .pauli import MAX_QUBITS, MagicAssignment, verify_assignment
 from .planarity import NotASimpleGraphError, is_planar_via_gram
 from .reduce import (
     RecipeError,
@@ -133,6 +133,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_assign(args) -> int:
+    if args.qubits > MAX_QUBITS:
+        # Assignment files hold Pauli strings, which stop at MAX_QUBITS letters.
+        raise InputError(f"--qubits {args.qubits} exceeds the {MAX_QUBITS}-qubit limit of Pauli strings")
     h = load_hypergraph(args.file)
     space = valid_gram_space(h)
     if space.magic_offset is None:

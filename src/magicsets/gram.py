@@ -167,21 +167,23 @@ def magic_parity(
 
 
 @lru_cache(maxsize=4096)
-def _magic_functional_masks(h: Hypergraph) -> tuple[int, ...]:
-    """Row masks of the inversion-sum functional under the default orders.
+def _inversion_masks(h: Hypergraph, edges: tuple[int, ...]) -> tuple[int, ...]:
+    """Row masks of the inversion-sum functional over the concatenation of
+    the contexts ``edges`` (indices into h.edges, in that order), under the
+    natural vertex order.
 
     The parity of any matrix g is sum over u of popcount(g.rows[u] &
     masks[u]) mod 2; masks live strictly below the diagonal so each
-    unordered pair is counted once.
+    unordered pair is counted once.  One backward pass builds them:
+    ``later`` holds the parity of each vertex's occurrences after the
+    current position, and its bits below that position's vertex are the
+    inversions the position starts.
     """
-    concat = [v for e in h.edges for v in e]
     masks = [0] * h.vertex_count
-    for b in range(len(concat)):
-        vb = concat[b]
-        for a in range(b):
-            va = concat[a]
-            if va > vb:
-                masks[va - 1] ^= 1 << (vb - 1)
+    later = 0
+    for v in reversed([v - 1 for j in edges for v in h.edges[j]]):
+        masks[v] ^= later & ((1 << v) - 1)
+        later ^= 1 << v
     return tuple(masks)
 
 
@@ -194,7 +196,7 @@ def _parity_via_masks(rows: Sequence[int], masks: Sequence[int]) -> int:
 
 def fast_magic_parity(h: Hypergraph, g: BitMatrix) -> int:
     """magic_parity under the default orders, via the cached functional."""
-    return _parity_via_masks(g.rows, _magic_functional_masks(h))
+    return _parity_via_masks(g.rows, _inversion_masks(h, tuple(range(h.num_edges))))
 
 
 def is_magic_gram(h: Hypergraph, g: BitMatrix) -> bool:

@@ -48,19 +48,15 @@ class ReductionRecipe:
 
     deleted_vertices: frozenset[int]
     identification: tuple[tuple[int, tuple[int, ...]], ...]  # (new id, sorted preimages)
-    notes: str = ""
 
     @classmethod
     def build(
-        cls,
-        deleted: Iterable[int],
-        identification: dict[int, Iterable[int]] | None,
-        notes: str = "",
+        cls, deleted: Iterable[int], identification: dict[int, Iterable[int]] | None
     ) -> "ReductionRecipe":
         ident = tuple(
             sorted((int(k), tuple(sorted(vs))) for k, vs in (identification or {}).items())
         )
-        return cls(frozenset(int(v) for v in deleted), ident, notes)
+        return cls(frozenset(int(v) for v in deleted), ident)
 
     def to_json_dict(self) -> dict:
         return {

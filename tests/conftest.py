@@ -6,8 +6,9 @@ import random
 import numpy as np
 import pytest
 
-from magicsets import bound, datasets, gram
-from magicsets.gf2 import BitMatrix, Echelon, null_space_basis, solve_affine
+from magicsets import datasets, gram
+from magicsets.assign import assignment_from_gram
+from magicsets.gf2 import BitMatrix, Echelon, _rank_rows, null_space_basis, solve_affine
 from magicsets.gram import is_reduced, valid_gram_space
 from magicsets.hypergraph import Hypergraph
 from magicsets.reduce import reduce_with
@@ -203,13 +204,24 @@ def gray_sign_cosets(r0: int, deltas: list[int]) -> list[int]:
     return list(reps)
 
 
+def synthesized_rep(h: Hypergraph, g: BitMatrix, row_space: Echelon) -> int:
+    """Coset representative of the context signs of one assignment realizing g.
+
+    How ``bound.hypergraph_bound`` read each sign coset before it read the
+    cosets off the Gram matrices by parities over the cycle basis, kept as
+    their oracle: synthesize at rank/2 qubits, multiply out every context.
+    """
+    k = _rank_rows(g.rows) // 2
+    return row_space.reduce(assignment_from_gram(h, g, k).context_signs.bits)
+
+
 def gray_pauli_sign_cosets(h: Hypergraph, row_space: Echelon) -> list[int]:
     """The Pauli sign-coset reps of h from d+1 syntheses, in the order the
     Gray walk over its 2^d magic Gram matrices first realizes them."""
     space = valid_gram_space(h)
     offset = space.magic_offset
-    r0 = bound._synthesized_rep(h, offset, row_space)
-    deltas = [bound._synthesized_rep(h, offset ^ b, row_space) ^ r0 for b in space.nonmagic_basis]
+    r0 = synthesized_rep(h, offset, row_space)
+    deltas = [synthesized_rep(h, offset ^ b, row_space) ^ r0 for b in space.nonmagic_basis]
     return gray_sign_cosets(r0, deltas)
 
 

@@ -1,20 +1,22 @@
 from __future__ import annotations
 
+import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magicsets import assign, datasets
 from magicsets.assign import (
     RankObstructionError,
-    SynthesisBudgetError,
     _solution_space,
     assignment_from_gram,
     enumerate_assignments,
 )
-from magicsets.gf2 import Echelon, rank
+from magicsets.gf2 import BitMatrix, Echelon, rank
 from magicsets.gram import min_qubits, valid_gram_space
-from magicsets.hypergraph import parse_edge_list
+from magicsets.hypergraph import Hypergraph, parse_edge_list
 from magicsets.pauli import decode, encode, gram_matrix_of, verify_assignment
 
 
@@ -135,7 +137,7 @@ def test_min_qubit_witness_round_trip(entries):
         assert rank(gram_matrix_of(a.strings)) == 2 * res.qubits
 
 
-def sorted_candidate_descent(g, basis_idx, k, budget, state):
+def sorted_candidate_descent(g, basis_idx, k):
     """The synthesis descent that ``assign._basis_assignments`` replaced,
     kept as its oracle: every candidate of a basis vertex is built and
     sorted before the first is tried."""
@@ -143,9 +145,6 @@ def sorted_candidate_descent(g, basis_idx, k, budget, state):
     r = len(basis_idx)
 
     def descend(chosen):
-        state.nodes += 1
-        if state.nodes > budget:
-            raise SynthesisBudgetError(f"budget of {budget} nodes exhausted")
         t = len(chosen)
         if t == r:
             yield list(chosen)
@@ -187,3 +186,67 @@ class TestLazyDescentAgainstSortedCandidates:
         report = verify_assignment(square.hypergraph, a)
         assert report.valid and report.magic and a.qubits == 14
         assert gram_matrix_of(a.strings) == g
+
+
+def solves_per_synthesis(h: Hypergraph, g: BitMatrix, k: int) -> int:
+    """``assign._solution_space`` calls made by one ``assignment_from_gram``,
+    whose assignment is checked to respect g."""
+    calls = []
+
+    def counted(constraints, dim):
+        calls.append(None)
+        return _solution_space(constraints, dim)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(assign, "_solution_space", counted)
+        a = assignment_from_gram(h, g, k)
+    assert gram_matrix_of(a.strings) == g
+    return len(calls)
+
+
+def alternating_with_defects(rng: random.Random) -> BitMatrix:
+    """P^T A P for a random alternating form A on ``base`` vertices, where P
+    keeps the base vertices and appends zero, repeated and combination
+    vertices, in shuffled vertex order: Gram matrices with zero rows, equal
+    rows and rows dependent on several others."""
+    base = rng.randint(2, 10)
+    a = [[0] * base for _ in range(base)]
+    for i in range(base):
+        for j in range(i + 1, base):
+            a[i][j] = a[j][i] = rng.getrandbits(1)
+    combos = [1 << i for i in range(base)]  # vertex -> mask of base vertices
+    for _ in range(rng.randint(0, 6)):
+        kind = rng.choice(("zero", "repeat", "combination"))
+        if kind == "zero":
+            combos.append(0)
+        elif kind == "repeat":
+            combos.append(rng.choice(combos))
+        else:
+            combos.append(rng.getrandbits(base))
+    rng.shuffle(combos)
+    rows = [
+        [sum(a[i][j] for i in range(base) if (p >> i) & 1 for j in range(base) if (q >> j) & 1) % 2 for q in combos]
+        for p in combos
+    ]
+    return BitMatrix.from_rows(rows)
+
+
+class TestGreedyWalkNeverBacktracks:
+    """The first candidate outside the span always extends (the lemma in the
+    ``assign`` docstring), so one synthesis solves once per row-basis vertex."""
+
+    @pytest.mark.parametrize("name", datasets.NAMES)
+    def test_bundled_witnesses(self, entries, name):
+        h = entries[name].hypergraph
+        res = min_qubits(h)
+        for k in (res.qubits, res.qubits + 1):
+            assert solves_per_synthesis(h, res.gram, k) == rank(res.gram)
+
+    @given(st.integers(0, 2**32))
+    @settings(max_examples=200, deadline=None)
+    def test_random_alternating_forms(self, seed):
+        g = alternating_with_defects(random.Random(seed))
+        h = Hypergraph(g.num_rows, ())  # no contexts: every alternating form is valid
+        r = rank(g)
+        for k in range(max(r // 2, 1), r // 2 + 3):
+            assert solves_per_synthesis(h, g, k) == r

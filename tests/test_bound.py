@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magicsets import bound, datasets, gf2
+from magicsets import assign, bound, datasets, gf2
 from magicsets.assign import assignment_from_gram
 from magicsets.bound import (
     HypergraphBoundReport,
@@ -29,7 +29,6 @@ from magicsets.gf2 import (
     Echelon,
     SyndromeTable,
     _min_weight_dfs,
-    _rank_rows,
     _span_blocks,
     coset_min_weight,
     null_space_basis,
@@ -55,6 +54,7 @@ from conftest import (
     relabelled,
     rigid_blocks,
     seeded_magic_grams,
+    synthesized_rep,
 )
 
 #: hypergraph_bound(...).to_json_dict() per bundled structure and route.
@@ -81,9 +81,9 @@ def signs(entry):
 def sweep_bound_oracle(h: Hypergraph) -> HypergraphBoundReport:
     """Pauli-only hypergraph bound from one synthesis per magic Gram matrix.
 
-    The 2^d sweep that the d+1-synthesis route replaced, kept as its test
-    oracle: every matrix gets its own assignment and every sign coset its
-    own coset_min_weight search.
+    The 2^d sweep that the linear sign-coset route replaced, kept as its
+    test oracle: every matrix gets its own assignment and every sign coset
+    its own coset_min_weight search.
     """
     n = h.num_edges
     M = incidence_matrix(h)
@@ -92,9 +92,7 @@ def sweep_bound_oracle(h: Hypergraph) -> HypergraphBoundReport:
     reps: dict[int, None] = {}
     basis_rows = [list(b.rows) for b in space.nonmagic_basis]
     for _, rows in gray_enumerate(list(space.magic_offset.rows), basis_rows):
-        g = BitMatrix(h.vertex_count, tuple(rows))
-        a = assignment_from_gram(h, g, _rank_rows(list(rows)) // 2)
-        reps.setdefault(row_space.reduce(a.context_signs.bits))
+        reps.setdefault(synthesized_rep(h, BitMatrix(h.vertex_count, tuple(rows)), row_space))
     row_vecs = [BitVector(n, r) for r in M.rows]
     best_w = best_rep = None
     exact = True
@@ -144,8 +142,8 @@ def binary_span(r0: int, gens: list[int]) -> list[int]:
 
 def pauli_reps(h: Hypergraph) -> tuple[Echelon, list[int]]:
     """The incidence row space and the Pauli sign-coset reps hypergraph_bound scores."""
-    row_space = Echelon(incidence_matrix(h).rows)
-    return row_space, binary_span(*bound._pauli_sign_cosets(h, valid_gram_space(h), row_space))
+    M = incidence_matrix(h)
+    return Echelon(M.rows), binary_span(*bound._pauli_sign_cosets(h, valid_gram_space(h), M))
 
 
 def assert_weights_match_oracles(h: Hypergraph, row_space: Echelon, reps: list[int]) -> None:
@@ -324,15 +322,11 @@ class TestHypergraphBound:
         assert format_epsilon(rep.report.epsilon, 2) == "0.22"
 
     def test_ms3_27b_single_coset(self, entries, monkeypatch):
-        calls = []
+        def refused(*args, **kwargs):
+            raise AssertionError("hypergraph_bound synthesized an assignment")
 
-        def counted(*args, **kwargs):
-            calls.append(None)
-            return assignment_from_gram(*args, **kwargs)
-
-        monkeypatch.setattr(bound, "assignment_from_gram", counted)
+        monkeypatch.setattr(assign, "_basis_assignments", refused)
         rep = hypergraph_bound(entries["MS3-27b"].hypergraph, pauli_only=True)
-        assert len(calls) == 7  # d+1 syntheses for d = 6
         assert rep.gram_matrices_checked == 64
         assert rep.cosets_checked == 1
         assert rep.report.b == 17
@@ -355,18 +349,24 @@ class TestHypergraphBound:
                 assert hypergraph_bound(g).to_json_dict() == sweep_bound_oracle(g).to_json_dict()
 
     def test_sign_coset_law(self, entries):
-        """<c, y> is G's inversion parity over y's contexts for every y in ker M."""
+        """<c, y> is G's inversion parity over y's contexts for every y in ker M;
+        for the cycle basis y_f that parity is bit f of c's coset rep."""
         rng = random.Random(67)
         for name, e in entries.items():
             if name == "HB":
                 continue
             h = e.hypergraph
-            cycles = null_space_basis(incidence_matrix(h))
+            M = incidence_matrix(h)
+            row_space = Echelon(M.rows)
+            cycles = null_space_basis(M)
             for g in seeded_magic_grams(h, rng, 3):
-                c = assignment_from_gram(h, g, _rank_rows(list(g.rows)) // 2).context_signs
+                rep = synthesized_rep(h, g, row_space)
                 for y in cycles:
                     sub = Hypergraph(h.vertex_count, tuple(ed for j, ed in enumerate(h.edges) if y[j]))
-                    assert (c.bits & y.bits).bit_count() % 2 == magic_parity(sub, g), (name, y)
+                    parity = magic_parity(sub, g)
+                    assert (rep & y.bits).bit_count() % 2 == parity, (name, y)
+                    assert (rep >> (y.bits.bit_length() - 1)) & 1 == parity, (name, y)
+                assert rep & ~sum(1 << (y.bits.bit_length() - 1) for y in cycles) == 0
 
     @pytest.mark.parametrize("pauli_only", [True, False])
     @pytest.mark.parametrize("name", ["MS3-27b", "HD", "pentagram"])
@@ -401,12 +401,22 @@ class TestHypergraphBound:
         with pytest.raises(ValueError, match=r"needs 2\^22 cosets, over cap 21"):
             hypergraph_bound(h, pauli_only=False)
 
-    def test_pauli_route_past_table_codimension(self, entries):
-        """Past the table each Pauli sign coset is searched on its own; here
-        the search of HD's one coset at codim 23 hits coset_min_weight's
-        dimension cap, so the bound is flagged inexact."""
+    def test_pauli_route_past_table_codimension(self, entries, monkeypatch):
+        """Past the table each Pauli sign coset is searched once, and the
+        maximizing coset's report reuses that search; here the search of
+        HD's one coset at codim 23 hits coset_min_weight's dimension cap,
+        so the bound is flagged inexact."""
         h = disjoint_union(entries["HD"].hypergraph, rigid_blocks(1))
-        rep = hypergraph_bound(h, pauli_only=True)
+        searches = []
+
+        def counted(*args, **kwargs):
+            searches.append(None)
+            return coset_min_weight(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(bound, "coset_min_weight", counted)
+            rep = hypergraph_bound(h, pauli_only=True)
+        assert len(searches) == rep.cosets_checked
         assert rep.to_json_dict() == sweep_bound_oracle(h).to_json_dict()
         assert (rep.report.b, rep.exact, rep.cosets_checked, rep.gram_matrices_checked) == (51, False, 1, 32)
         assert str(rep.maximizing_signs) == "00000000000000000000000000000000000011101011100000000000000000000"

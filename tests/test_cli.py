@@ -107,6 +107,15 @@ class TestAssign:
     def test_rank_obstruction_is_input_error(self, ms3_27b_file):
         assert main(["assign", ms3_27b_file, "--qubits", "1"]) == 2
 
+    def test_qubits_past_pauli_limit_is_input_error(self, ms3_27b_file, tmp_path, capsys):
+        # An assignment file of 33-qubit strings could not be read back by ``bound``.
+        out_path = tmp_path / "assignment.json"
+        assert main(["assign", ms3_27b_file, "--qubits", "33", "--output", str(out_path)]) == 2
+        assert not out_path.exists()
+        assert "32-qubit limit" in capsys.readouterr().err
+        assert main(["assign", ms3_27b_file, "--qubits", "32", "--output", str(out_path)]) == 0
+        assert main(["bound", ms3_27b_file, "--assignment", str(out_path)]) == 0
+
 
 class TestReduce:
     def test_recipe_replay(self, tmp_path, capsys):

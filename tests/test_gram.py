@@ -21,6 +21,8 @@ from magicsets.gram import (
     min_qubits,
     _cocontext_pairs,
     _defect_systems,
+    _inversion_masks,
+    _parity_via_masks,
     valid_gram_space,
     validate_gram,
 )
@@ -185,6 +187,19 @@ class TestMagicGram:
                     assert (
                         magic_parity(h, g, edge_order, inner, vertex_order) == reference
                     )
+
+    @given(st.integers(0, 2**32))
+    @settings(max_examples=100, deadline=None)
+    def test_inversion_masks_match_magic_parity(self, seed):
+        """Over any list of contexts, repeats allowed, and any matrix, valid
+        or not: the masks evaluate the inversion sum ``magic_parity`` takes."""
+        rng = random.Random(seed)
+        h = random_proper_eulerian(rng)
+        m = h.vertex_count
+        edges = tuple(rng.randrange(h.num_edges) for _ in range(rng.randint(0, 2 * h.num_edges)))
+        sub = Hypergraph(m, tuple(h.edges[j] for j in edges))
+        g = BitMatrix(m, tuple(rng.getrandbits(m) for _ in range(m)))
+        assert _parity_via_masks(g.rows, _inversion_masks(h, edges)) == magic_parity(sub, g)
 
 
 class TestMinQubits:
