@@ -29,15 +29,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .gf2 import (
-    BitMatrix,
-    Echelon,
-    _ascending_span,
-    _row_combinations,
-    null_space_basis,
-    rank,
-    solve_affine,
-)
+from .gf2 import BitMatrix, Echelon, _affine_solutions, _ascending_span, _row_combinations, rank
 from .hypergraph import Hypergraph
 from .pauli import MagicAssignment, PauliString
 from .gram import validate_gram
@@ -51,16 +43,14 @@ def _solution_space(constraints: list[tuple[int, int]], dim: int) -> tuple[int, 
     """Solve {pairing(x, v_s) = c_s} over packed 2k-vectors x.
 
     Each constraint (v, c) is linear: the functional of x is the popcount
-    parity of x & swap(v).  Returns (particular, kernel_basis) or None.
+    parity of x & swap(v).  Returns (particular, kernel_basis) or None,
+    read off the 2k columns of the functional matrix.
     """
     k = dim // 2
     mask = (1 << k) - 1
     functionals = [((v & mask) << k) | (v >> k) for v, _ in constraints]
-    particular = solve_affine(functionals, [c for _, c in constraints], dim)
-    if particular is None:
-        return None
-    kernel = null_space_basis(BitMatrix(dim, tuple(functionals)))
-    return particular.bits, [v.bits for v in kernel]
+    cols = [sum(((f >> l) & 1) << s for s, f in enumerate(functionals)) for l in range(dim)]
+    return _affine_solutions(cols, sum((c & 1) << s for s, (_, c) in enumerate(constraints)))
 
 
 def _basis_assignments(g: BitMatrix, basis_idx: list[int], k: int) -> Iterator[list[int]]:

@@ -24,8 +24,9 @@ from .gf2 import (
     Echelon,
     SyndromeTable,
     coset_min_weight,
-    null_space_basis,
     row_combination,
+    _coset_min_weight,
+    _null_vectors,
     _span_blocks,
 )
 from .gram import GramSpace, NoMagicGramError, _inversion_masks, _parity_via_masks, valid_gram_space
@@ -231,14 +232,15 @@ def _gray_generators(deltas: list[int]) -> list[int]:
     return gens
 
 
-def _pauli_sign_cosets(h: Hypergraph, space: GramSpace, M: BitMatrix) -> tuple[int, list[int]]:
-    """Sign cosets of magic Pauli assignments, for M the incidence matrix of
-    h, as (r0, gens): the reps r0 ^ XOR{gens[k] : bit k of i}, i <
-    2^len(gens), read off the Gram matrices by inversion parities over
-    the cycle basis (see ``hypergraph_bound``)."""
+def _pauli_sign_cosets(h: Hypergraph, space: GramSpace, row_space: Echelon) -> tuple[int, list[int]]:
+    """Sign cosets of magic Pauli assignments, for ``row_space`` the echelon
+    of h's incidence rows, as (r0, gens): the reps r0 ^ XOR{gens[k] : bit
+    k of i}, i < 2^len(gens), read off the Gram matrices by inversion
+    parities over the cycle basis (see ``hypergraph_bound``)."""
+    n = h.num_edges
     cycles = [
-        (y.bits.bit_length() - 1, _inversion_masks(h, tuple(j for j in range(M.cols) if y[j])))
-        for y in null_space_basis(M)
+        (y.bit_length() - 1, _inversion_masks(h, tuple(j for j in range(n) if (y >> j) & 1)))
+        for y in _null_vectors(row_space, n)
     ]
 
     def rep(g: BitMatrix) -> int:
@@ -264,8 +266,9 @@ def hypergraph_bound(h: Hypergraph, pauli_only: bool = True) -> HypergraphBoundR
     ascending order, Pauli-only its image in the order below.  Past
     codimension 22 (``_TABLE_CODIM``) the all-assignments route raises
     ValueError, and the Pauli-only route searches each coset with
-    ``coset_min_weight`` and raises ValueError when its image has
-    dimension above 22, the same 2^22-coset limit.
+    ``coset_min_weight``'s search over the one echelon of the row space
+    and raises ValueError when its image has dimension above 22, the same
+    2^22-coset limit.
 
     The Pauli-only route synthesizes no assignment: the sign coset c +
     row(M) of an assignment is a linear function of its Gram matrix G,
@@ -313,7 +316,7 @@ def hypergraph_bound(h: Hypergraph, pauli_only: bool = True) -> HypergraphBoundR
         raise NoMagicGramError(f"{h.name or 'hypergraph'} admits no magic Gram matrix")
 
     if pauli_only:
-        r0, gens = _pauli_sign_cosets(h, space, M)
+        r0, gens = _pauli_sign_cosets(h, space, ech)
         grams_checked = 1 << len(space.nonmagic_basis)
         if len(gens) > _TABLE_CODIM:
             raise ValueError(
@@ -329,11 +332,10 @@ def hypergraph_bound(h: Hypergraph, pauli_only: bool = True) -> HypergraphBoundR
         reps = [r0]
         for g in gens:
             reps += [r ^ g for r in reps]
-        row_vecs = [BitVector(n, row) for row in ech.pivots.values()]
         found = []  # (weight, leader, exact) per coset
         for rep in reps:
             try:
-                found.append((*coset_min_weight(row_vecs, BitVector(n, rep)), True))
+                found.append((*_coset_min_weight(ech, BitVector(n, rep)), True))
             except CosetTooLargeError as err:
                 found.append((err.best_weight, err.best_witness, False))
         best = max(range(len(reps)), key=lambda i: found[i][0])  # the first of the largest

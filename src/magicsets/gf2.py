@@ -8,10 +8,16 @@ Elimination runs through one kernel, ``Echelon``, whose pivot is always
 a row's lowest set bit.  The convention is load-bearing: it fixes the
 reduced echelon form, hence the null-space basis of ``null_space_basis``
 (the valid Gram basis, and through it every magic witness, synthesized
-assignment and maximizing sign pattern the CLI prints), the particular
-solution of ``solve_affine`` and the coset representatives of
-``Echelon.reduce``, hence ``SyndromeTable``'s syndromes.  Only the rank
-does not depend on it, so ``rank`` pivots on the highest bit.
+assignment and maximizing sign pattern the CLI prints) and the coset
+representatives of ``Echelon.reduce``, hence ``SyndromeTable``'s
+syndromes.  Only the rank does not depend on it, so ``rank`` pivots on
+the highest bit.
+
+Affine systems are solved in column form by one kernel,
+``_row_combinations``, an echelon of the columns each tagged with its
+index.  The solution and kernel ``_affine_solutions`` reads off it are
+those a row-form elimination gives, whose pivot columns are the columns
+independent of the columns before them.
 """
 
 from __future__ import annotations
@@ -258,20 +264,24 @@ def rank(m: BitMatrix) -> int:
 
 
 def null_space_basis(m: BitMatrix) -> list[BitVector]:
-    """Basis of {v : m @ v = 0}; its size is cols - rank(m).
+    """Basis of {v : m @ v = 0}; its size is cols - rank(m)."""
+    return [BitVector(m.cols, v) for v in _null_vectors(Echelon(m.rows), m.cols)]
+
+
+def _null_vectors(ech: Echelon, cols: int) -> list[int]:
+    """``null_space_basis`` of the rows ``ech`` spans, over ``cols`` columns.
 
     One vector per free column, in ascending order: the free bit plus the
     pivot bits of the reduced rows that contain it.
     """
-    ech = Echelon(m.rows)
-    vecs = {free: 1 << free for free in range(m.cols) if free not in ech.pivots}
+    vecs = {free: 1 << free for free in range(cols) if free not in ech.pivots}
     for p, row in ech.rref():
         rest = row ^ (1 << p)  # free columns only
         while rest:
             low = rest & -rest
             vecs[low.bit_length() - 1] |= 1 << p
             rest ^= low
-    return [BitVector(m.cols, v) for v in vecs.values()]
+    return list(vecs.values())
 
 
 def in_row_space(m: BitMatrix, v: BitVector) -> bool:
@@ -308,27 +318,34 @@ def _row_combinations(vectors: Sequence[int], targets: Sequence[int]) -> list[in
     return out
 
 
+def _affine_solutions(cols: Sequence[int], target: int) -> tuple[int, list[int]] | None:
+    """Solutions of XOR{cols[l] : bit l of x} == target, or None when there are none.
+
+    Returns (x0, kernel): x0 is supported on the columns independent of
+    the columns before them, and the kernel has one vector per other
+    column f, in ascending order: bit f plus the combination of earlier
+    columns that gives cols[f].
+    """
+    x0, *combos = _row_combinations(cols, [target, *cols])
+    if x0 is None:
+        return None
+    return x0, [c ^ (1 << f) for f, c in enumerate(combos) if c != 1 << f]
+
+
 def solve_affine(equations: Sequence[int], rhs: Sequence[int], num_vars: int) -> BitVector | None:
     """One solution x of the GF(2) system {eq_i . x = rhs_i}, or None.
 
     Each equation is an int bitmask over the ``num_vars`` variables.  The
-    solution returned sets all free variables to zero.
+    solution returned sets all free variables to zero; it is read off the
+    system's columns by ``_row_combinations``.
     """
     if len(equations) != len(rhs):
         raise ValueError("ragged system")
     if any(eq >> num_vars for eq in equations):
         raise ValueError(f"an equation has bits outside its {num_vars} variables")
-    # Augment with the rhs in an extra column.
-    ech = Echelon()
-    for eq, b in zip(equations, rhs):
-        ech.insert(eq | ((b & 1) << num_vars))
-        if num_vars in ech.pivots:
-            return None  # 0 = 1 row: inconsistent
-    x = 0
-    for pivot, row in ech.rref():
-        if (row >> num_vars) & 1:
-            x |= 1 << pivot
-    return BitVector(num_vars, x)
+    cols = [sum(((eq >> l) & 1) << i for i, eq in enumerate(equations)) for l in range(num_vars)]
+    x = _row_combinations(cols, [sum((b & 1) << i for i, b in enumerate(rhs))])[0]
+    return None if x is None else BitVector(num_vars, x)
 
 
 #: A scanned block holds at most 2^_BLOCK_MATRICES matrices and at most
@@ -492,11 +509,18 @@ def coset_min_weight(
     and raises CosetTooLargeError when the span dimension exceeds ``cap``,
     attaching the best upper bound found.
     """
-    length = offset.length
     for v in row_basis:
-        if v.length != length:
+        if v.length != offset.length:
             raise ValueError("mixed vector lengths")
-    ech = Echelon(v.bits for v in row_basis)
+    return _coset_min_weight(Echelon(v.bits for v in row_basis), offset, cap)
+
+
+def _coset_min_weight(
+    ech: Echelon, offset: BitVector, cap: int = DEFAULT_COSET_CAP
+) -> tuple[int, BitVector]:
+    """``coset_min_weight`` over the span of ``ech``, for callers that
+    search many cosets of one row space."""
+    length = offset.length
     start = ech.reduce(offset.bits)
     if start == 0:
         return 0, BitVector(length, 0)

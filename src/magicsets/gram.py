@@ -20,11 +20,11 @@ import numpy as np
 
 from .gf2 import (
     BitMatrix,
+    Echelon,
     _block_low,
     _block_ranks,
     _span_blocks,
     null_space_basis,
-    solve_affine,
 )
 from .hypergraph import Hypergraph, is_proper_eulerian
 
@@ -392,32 +392,24 @@ def is_reduced(g: BitMatrix) -> bool:
     return True
 
 
-def _defect_systems(offset: BitMatrix, basis: Sequence[BitMatrix]):
-    """Affine systems over the magic-space coordinates for each reducibility defect.
+def _defects(offset: BitMatrix, basis: Sequence[BitMatrix]):
+    """The reducibility defects of the magic space offset + span(basis).
 
-    Yields (kind, equations, rhs) where solvability means some magic Gram
-    matrix has that zero row ("zero", i) or equal row pair ("equal", i, j):
-    first every zero row, then every pair i < j by i then j, each with one
-    equation per column.  Equations come from a transposed table, per row
-    i and column j the mask over l of ``basis[l]``'s entry (i, j), so a
-    pair's equations are the XORs of its two rows' masks.
+    Yields (kind, cols, target): first every zero row ("zero", i), then
+    every pair i < j by i then j ("equal", i, j).  Row i of the matrix
+    offset + sum x_l basis[l] is offset.rows[i] ^ XOR{basis[l].rows[i] :
+    bit l of x}, so the defect holds at x exactly when XOR{cols[l] : bit l
+    of x} == target, with cols[l] the row (or row difference) of
+    basis[l] and target that of the offset.
     """
     m = offset.num_rows
-    cols = [[0] * m for _ in range(m)]
-    for l, b in enumerate(basis):
-        bit = 1 << l
-        for col, row in zip(cols, b.rows):
-            while row:
-                low = row & -row
-                col[low.bit_length() - 1] |= bit
-                row ^= low
+    rows = [[b.rows[i] for b in basis] for i in range(m)]
     for i in range(m):
-        yield ("zero", i), cols[i], [(offset.rows[i] >> j) & 1 for j in range(m)]
+        yield ("zero", i), rows[i], offset.rows[i]
     for i in range(m):
         for j in range(i + 1, m):
             diff = offset.rows[i] ^ offset.rows[j]
-            eqs = [a ^ b for a, b in zip(cols[i], cols[j])]
-            yield ("equal", i, j), eqs, [(diff >> t) & 1 for t in range(m)]
+            yield ("equal", i, j), [a ^ b for a, b in zip(rows[i], rows[j])], diff
 
 
 class _DeadlineReached(Exception):
@@ -430,8 +422,11 @@ def _check_deadline(deadline: float | None) -> None:
 
 
 #: Largest magic space, in matrix rows (2^d * m), decided by a block scan
-#: rather than by defect solves.
-_SCAN_ROWS = 1 << 25
+#: rather than by defect solves.  Near the least measured size (at rows of
+#: one 64-bit word) where a whole scan costs more than solving every
+#: defect; past it the solves, which stop at the first defect that holds,
+#: cost about as much as the scan on a minimal space and far less otherwise.
+_SCAN_ROWS = 1 << 19
 
 
 def _row_keys(block: np.ndarray) -> np.ndarray:
@@ -467,10 +462,12 @@ def _reducible_by_scan(
 def _reducible_by_solves(
     offset: BitMatrix, basis: Sequence[BitMatrix], deadline: float | None = None
 ) -> bool:
-    """``_has_reducible_matrix`` by solving every defect system."""
-    for _, eqs, rhs in _defect_systems(offset, basis):
+    """``_has_reducible_matrix`` by span membership: a defect holds
+    somewhere in the space exactly when its target lies in the span of its
+    columns."""
+    for _, cols, target in _defects(offset, basis):
         _check_deadline(deadline)
-        if solve_affine(eqs, rhs, len(basis)) is not None:
+        if Echelon(cols).reduce(target) == 0:
             return True
     return False
 
@@ -482,9 +479,10 @@ def _has_reducible_matrix(
 
     Both routes answer exactly; the size of the space picks one.  A space
     of at most ``_SCAN_ROWS`` matrix rows (2^d * m) is scanned in blocks,
-    at any row width; a larger one is decided by the affine defect solves.
-    Raises ``_DeadlineReached`` once ``deadline`` (``time.monotonic``) has
-    passed, checked once per block or per defect system.
+    at any row width; a larger one is decided by span membership, one test
+    per defect (``_defects``), stopping at the first that holds.  Raises
+    ``_DeadlineReached`` once ``deadline`` (``time.monotonic``) has
+    passed, checked once per block or per defect.
     """
     if offset.num_rows << len(basis) <= _SCAN_ROWS:
         return _reducible_by_scan(offset, basis, deadline)
@@ -496,8 +494,8 @@ def is_minimal(h: Hypergraph) -> bool:
 
     One decision, ``_has_reducible_matrix``, serves this and the descent's
     child check: a block scan of magic spaces up to ``_SCAN_ROWS`` matrix
-    rows, at any row width, and affine defect solves past that (each
-    defect is an affine condition on the magic space).
+    rows, at any row width, and past that one span-membership test per
+    defect (each defect is an affine condition on the magic space).
     """
     space = valid_gram_space(h)
     if space.magic_offset is None:

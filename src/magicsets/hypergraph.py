@@ -22,6 +22,13 @@ class EdgeListParseError(ValueError):
     """Malformed bracketed edge-list text."""
 
 
+def _integer(v, what: str) -> int:
+    """v itself when it is an int (not a bool); ValueError otherwise."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValueError(f"{what} must be an integer, got {v!r}")
+    return v
+
+
 @dataclass(frozen=True)
 class Hypergraph:
     vertex_count: int
@@ -47,7 +54,14 @@ class Hypergraph:
         name: str | None = None,
         labels: Sequence[str] | None = None,
     ) -> "Hypergraph":
-        canon = tuple(tuple(sorted(e)) for e in edges)
+        """Raises ValueError unless the vertex count (when given) and every
+        vertex index are integers (bools are refused)."""
+        if vertex_count is not None:
+            _integer(vertex_count, "vertex count")
+        try:
+            canon = tuple(tuple(sorted(_integer(v, "vertex index") for v in e)) for e in edges)
+        except TypeError:
+            raise ValueError("edges must be a list of vertex lists") from None
         if vertex_count is None:
             vertex_count = max((v for e in canon for v in e), default=0)
         return cls(vertex_count, canon, name, tuple(labels) if labels is not None else None)
@@ -111,79 +125,25 @@ class Diagnostics:
         )
 
 
-def _tokenize(text: str):
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "[],":
-            yield c, i
-            i += 1
-        elif c.isdigit() or c == "-":
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            yield text[i:j], i
-            i = j
-        else:
-            raise EdgeListParseError(f"unexpected character {c!r} at offset {i}")
-    yield None, n
-
-
 def parse_edge_list(text: str, vertex_count: int | None = None, name: str | None = None) -> Hypergraph:
     """Parse the bracketed list-of-lists format, e.g. "[[1, 2, 22, 28], ...]".
 
-    Whitespace-insensitive but otherwise strict: no trailing commas, indices
-    must be positive integers.  The vertex count defaults to the maximum
-    index present; pass it explicitly to declare trailing isolated vertices.
+    The text is a JSON array of arrays of positive integers, read by
+    ``json.loads``, so JSON's syntax rules hold: no trailing commas, no
+    leading zeros, JSON whitespace only.  The vertex count defaults to the
+    maximum index present; pass it explicitly to declare trailing isolated
+    vertices.
     """
-    tokens = _tokenize(text)
-
-    def expect(tok):
-        got, pos = next(tokens)
-        if got != tok:
-            raise EdgeListParseError(f"expected {tok!r} at offset {pos}, got {got!r}")
-        return got
-
-    def parse_int(tok, pos):
-        try:
-            v = int(tok)
-        except (TypeError, ValueError):
-            raise EdgeListParseError(f"expected integer at offset {pos}, got {tok!r}") from None
-        if v <= 0:
-            raise EdgeListParseError(f"vertex index must be positive, got {v} at offset {pos}")
-        return v
-
-    expect("[")
-    edges: list[list[int]] = []
-    tok, pos = next(tokens)
-    if tok != "]":
-        while True:
-            if tok != "[":
-                raise EdgeListParseError(f"expected '[' at offset {pos}, got {tok!r}")
-            edge: list[int] = []
-            tok, pos = next(tokens)
-            if tok != "]":
-                while True:
-                    edge.append(parse_int(tok, pos))
-                    tok, pos = next(tokens)
-                    if tok == "]":
-                        break
-                    if tok != ",":
-                        raise EdgeListParseError(f"expected ',' or ']' at offset {pos}, got {tok!r}")
-                    tok, pos = next(tokens)
-            edges.append(edge)
-            tok, pos = next(tokens)
-            if tok == "]":
-                break
-            if tok != ",":
-                raise EdgeListParseError(f"expected ',' or ']' at offset {pos}, got {tok!r}")
-            tok, pos = next(tokens)
-    trailing, pos = next(tokens)
-    if trailing is not None:
-        raise EdgeListParseError(f"trailing data at offset {pos}")
-    return Hypergraph.from_edges(edges, vertex_count=vertex_count, name=name)
+    try:
+        edges = json.loads(text)
+    except json.JSONDecodeError as err:
+        raise EdgeListParseError(f"{err.msg} at offset {err.pos}") from None
+    if not isinstance(edges, list):
+        raise EdgeListParseError("expected a list of vertex lists")
+    try:
+        return Hypergraph.from_edges(edges, vertex_count=vertex_count, name=name)
+    except ValueError as err:
+        raise EdgeListParseError(str(err)) from None
 
 
 def serialize_edge_list(h: Hypergraph) -> str:

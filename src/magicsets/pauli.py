@@ -25,23 +25,6 @@ MAX_QUBITS = 32
 _LETTER_TO_XZ = {"I": (0, 0), "X": (1, 0), "Y": (0, 1), "Z": (1, 1)}
 _XZ_TO_LETTER = {v: k for k, v in _LETTER_TO_XZ.items()}
 
-# Single-qubit products as (power of i, letter): table built from
-# X.Y = iZ and cyclic variants; reversed order flips the sign.
-_CYCLE = {("X", "Y"): "Z", ("Y", "Z"): "X", ("Z", "X"): "Y"}
-_PRODUCT: dict[tuple[str, str], tuple[int, str]] = {}
-for a in "IXYZ":
-    for b in "IXYZ":
-        if a == "I":
-            _PRODUCT[a, b] = (0, b)
-        elif b == "I":
-            _PRODUCT[a, b] = (0, a)
-        elif a == b:
-            _PRODUCT[a, b] = (0, "I")
-        elif (a, b) in _CYCLE:
-            _PRODUCT[a, b] = (1, _CYCLE[a, b])
-        else:
-            _PRODUCT[a, b] = (3, _CYCLE[b, a])
-
 
 @dataclass(frozen=True)
 class PauliString:
@@ -147,9 +130,13 @@ def multiply(ps: Sequence[PauliString]) -> SignedPauli:
     for p in ps[1:]:
         if p.qubits != k:
             raise ValueError("qubit-count mismatch")
-        for i in range(k):
-            dp, _ = _PRODUCT[acc.letter(i), p.letter(i)]
-            power += dp
+        # Letter masks per qubit; a cyclic pair (XY, YZ, ZX) gives i, the
+        # reversed pair -i = i^3, equal letters or an identity 1.
+        ax, ay, az = acc.x_bits & ~acc.z_bits, acc.z_bits & ~acc.x_bits, acc.x_bits & acc.z_bits
+        bx, by, bz = p.x_bits & ~p.z_bits, p.z_bits & ~p.x_bits, p.x_bits & p.z_bits
+        cyclic = (ax & by) | (ay & bz) | (az & bx)
+        anticyclic = (ay & bx) | (az & by) | (ax & bz)
+        power += cyclic.bit_count() + 3 * anticyclic.bit_count()
         acc = acc ^ p
     return SignedPauli(power % 4, acc)
 

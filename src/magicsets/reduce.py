@@ -17,13 +17,13 @@ from typing import Iterable
 
 import numpy as np
 
-from .gf2 import BitMatrix, _block_low, _span_blocks, null_space_basis, solve_affine
+from .gf2 import BitMatrix, _affine_solutions, _block_low, _span_blocks
 from .gram import (
     GramSpace,
     NoMagicGramError,
     _DeadlineReached,
     _check_deadline,
-    _defect_systems,
+    _defects,
     _has_reducible_matrix,
     _matrix_of_words,
     _reducible_rows,
@@ -511,7 +511,8 @@ def _reducible_signatures(
     reducible matrix lies in a zero-row or equal-row affine slice, and up
     to 2^12 matrices of each solvable slice are sampled as one block: its
     particular solution shifted by the span of its first 12 kernel
-    vectors, labelled the same way.  Raises ``_DeadlineReached`` once
+    vectors, both read off the defect's columns (``_affine_solutions``),
+    labelled the same way.  Raises ``_DeadlineReached`` once
     ``deadline`` (``time.monotonic``) has passed, checked once per scanned
     block or per affine slice.
     """
@@ -546,13 +547,13 @@ def _reducible_signatures(
 
     base = np.array(_words(offset, width), dtype=np.uint64)
     sample_low = 12
-    for _, eqs, rhs in _defect_systems(offset, nonmagic):
+    for _, cols, target in _defects(offset, nonmagic):
         _check_deadline(deadline)
-        x0 = solve_affine(eqs, rhs, d)
-        if x0 is None:
+        solutions = _affine_solutions(cols, target)
+        if solutions is None:
             continue
-        kernel = null_space_basis(BitMatrix(d, tuple(eqs)))[:sample_low]
-        start, *shifts = combinations([x0.bits] + [kv.bits for kv in kernel])
+        x0, kernel = solutions
+        start, *shifts = combinations([x0] + kernel[:sample_low])
         (block,) = _span_blocks(base ^ start, shifts, sample_low)
         yield from new_signatures(block.reshape(-1, m, width))
 
@@ -596,7 +597,8 @@ def find_minimal_descendants(
     solvable defect slice (``_reducible_signatures``).  Each new class is
     checked for minimality by the decision ``is_minimal`` makes
     (``gram._has_reducible_matrix``): a block scan up to ``_SCAN_ROWS``
-    matrix rows, at any row width, defect solves past that.
+    matrix rows, at any row width, one span-membership test per defect
+    past that.
     The time budget is checked between reductions and once per scanned
     block, so a search overruns ``max_seconds`` by about one block scan.
     Distinct reduction paths reproduce the same structure under different

@@ -8,7 +8,7 @@ import pytest
 
 from magicsets import datasets, gram
 from magicsets.assign import assignment_from_gram
-from magicsets.gf2 import BitMatrix, Echelon, _rank_rows, null_space_basis, solve_affine
+from magicsets.gf2 import BitMatrix, BitVector, Echelon, _rank_rows, null_space_basis
 from magicsets.gram import is_reduced, valid_gram_space
 from magicsets.hypergraph import Hypergraph
 from magicsets.reduce import reduce_with
@@ -225,9 +225,47 @@ def gray_pauli_sign_cosets(h: Hypergraph, row_space: Echelon) -> list[int]:
     return gray_sign_cosets(r0, deltas)
 
 
+def solve_affine(equations, rhs, num_vars: int) -> BitVector | None:
+    """One solution x of the row-form system {eq_i . x = rhs_i}, free
+    variables zero, or None: an elimination of the equations augmented by
+    their right-hand sides.
+
+    How the library solved affine systems before it read the solutions off
+    the columns (``gf2._affine_solutions``), kept as the row-form oracle.
+    """
+    ech = Echelon()
+    for eq, b in zip(equations, rhs):
+        ech.insert(eq | ((b & 1) << num_vars))
+        if num_vars in ech.pivots:
+            return None  # 0 = 1 row: inconsistent
+    x = 0
+    for pivot, row in ech.rref():
+        if (row >> num_vars) & 1:
+            x |= 1 << pivot
+    return BitVector(num_vars, x)
+
+
+def row_form_solutions(equations, rhs, num_vars: int) -> tuple[int, list[int]] | None:
+    """(x0, kernel) of a row-form system by ``solve_affine`` and
+    ``null_space_basis``, the two eliminations the column read-off replaced."""
+    x0 = solve_affine(equations, rhs, num_vars)
+    if x0 is None:
+        return None
+    return x0.bits, [v.bits for v in null_space_basis(BitMatrix(num_vars, tuple(equations)))]
+
+
+def transposed(equations, rhs, num_vars: int) -> tuple[list[int], int]:
+    """The columns and target of a row-form system: column l holds bit i
+    when equation i has variable l; the target holds the right-hand sides."""
+    cols = [sum(((eq >> l) & 1) << i for i, eq in enumerate(equations)) for l in range(num_vars)]
+    return cols, sum((b & 1) << i for i, b in enumerate(rhs))
+
+
 def loop_defect_systems(offset: BitMatrix, basis):
-    """``gram._defect_systems`` as it was first written, kept as its oracle:
-    every equation probed bit by bit over the basis."""
+    """The defect systems in row form, one equation per column, every
+    equation probed bit by bit over the basis: how the library first built
+    them, kept as the oracle of ``gram._defects`` (whose columns are these
+    systems' columns)."""
     m = offset.num_rows
     d = len(basis)
     for i in range(m):
@@ -278,15 +316,14 @@ def doubling_signatures(offset: BitMatrix, basis, stats: dict):
     seen: set = set()
     per_defect = 1 << 12
     for _, eqs, rhs in loop_defect_systems(offset, basis):
-        x0 = solve_affine(eqs, rhs, d)
-        if x0 is None:
+        solutions = row_form_solutions(eqs, rhs, d)
+        if solutions is None:
             continue
-        kernel = null_space_basis(BitMatrix(d, tuple(eqs)))
-        xs = [x0.bits]
+        xs, kernel = [solutions[0]], solutions[1]
         for kv in kernel:
             if len(xs) >= per_defect:
                 break
-            xs = xs + [x ^ kv.bits for x in xs]
+            xs = xs + [x ^ kv for x in xs]
         for x in xs[:per_defect]:
             stats["inspected"] += 1
             rows = list(offset.rows)

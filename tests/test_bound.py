@@ -142,8 +142,8 @@ def binary_span(r0: int, gens: list[int]) -> list[int]:
 
 def pauli_reps(h: Hypergraph) -> tuple[Echelon, list[int]]:
     """The incidence row space and the Pauli sign-coset reps hypergraph_bound scores."""
-    M = incidence_matrix(h)
-    return Echelon(M.rows), binary_span(*bound._pauli_sign_cosets(h, valid_gram_space(h), M))
+    row_space = Echelon(incidence_matrix(h).rows)
+    return row_space, binary_span(*bound._pauli_sign_cosets(h, valid_gram_space(h), row_space))
 
 
 def assert_weights_match_oracles(h: Hypergraph, row_space: Echelon, reps: list[int]) -> None:
@@ -411,10 +411,10 @@ class TestHypergraphBound:
 
         def counted(*args, **kwargs):
             searches.append(None)
-            return coset_min_weight(*args, **kwargs)
+            return gf2._coset_min_weight(*args, **kwargs)
 
         with monkeypatch.context() as patch:
-            patch.setattr(bound, "coset_min_weight", counted)
+            patch.setattr(bound, "_coset_min_weight", counted)
             rep = hypergraph_bound(h, pauli_only=True)
         assert len(searches) == rep.cosets_checked
         assert rep.to_json_dict() == sweep_bound_oracle(h).to_json_dict()
@@ -423,15 +423,35 @@ class TestHypergraphBound:
 
     def test_pauli_route_per_coset_searches_match_table(self, entries, monkeypatch):
         """With the table limit just below the codimension, the Pauli route
-        searches each coset with coset_min_weight and reports the same."""
+        searches each coset with coset_min_weight's search and reports the
+        same, from one elimination of the incidence row space per call
+        whatever the number of cosets."""
         inputs = [entries[name].hypergraph for name in ("MS3-27b", "HD", "pentagram")]
         inputs += hb_descendants(max_dim=6)
+        most_cosets = 0
         for h in inputs:
             want = hypergraph_bound(h, pauli_only=True).to_json_dict()
-            codim = h.num_edges - Echelon(incidence_matrix(h).rows).rank
-            monkeypatch.setattr(bound, "_TABLE_CODIM", codim - 1)
-            assert hypergraph_bound(h, pauli_only=True).to_json_dict() == want
+            row_space = Echelon(incidence_matrix(h).rows)
+            eliminations = []
+
+            class CountingEchelon(Echelon):
+                """Counts the echelons built from rows that span row(M)."""
+
+                def __init__(self, rows=()):
+                    rows = list(rows)
+                    super().__init__(rows)
+                    if self.rank == row_space.rank and not any(map(row_space.reduce, rows)):
+                        eliminations.append(None)
+
+            monkeypatch.setattr(bound, "_TABLE_CODIM", h.num_edges - row_space.rank - 1)
+            monkeypatch.setattr(bound, "Echelon", CountingEchelon)
+            monkeypatch.setattr(gf2, "Echelon", CountingEchelon)
+            rep = hypergraph_bound(h, pauli_only=True)
             monkeypatch.undo()
+            assert rep.to_json_dict() == want
+            assert len(eliminations) == 1
+            most_cosets = max(most_cosets, rep.cosets_checked)
+        assert most_cosets > 1
 
     def test_pauli_route_stops_past_table_image_dimension(self, entries, monkeypatch):
         # HB's sign cosets span dimension 14: with the table limit at 10 the

@@ -52,6 +52,20 @@ class TestCheck:
         assert doc["schema"] == 1
         assert doc["magic"] is True and doc["min_qubits"] == 3
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"edges": [[1.5, 2], [1.5, 2]]},
+            {"vertices": "3", "edges": [[1, 2]]},
+            {"vertices": 2, "edges": [[True, 2], [1, 2]]},
+        ],
+    )
+    def test_non_integer_vertices_are_input_errors(self, tmp_path, capsys, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", str(path)]) == 2
+        assert "must be an integer" in capsys.readouterr().err
+
     def test_bracket_text_accepted(self, tmp_path, capsys):
         path = tmp_path / "square.txt"
         path.write_text("[[1,2,3],[4,5,6],[7,8,9],[1,4,7],[2,5,8],[3,6,9]]")

@@ -32,7 +32,8 @@ from magicsets.gf2 import (
 )
 from magicsets.gram import _reducible_by_scan, _reducible_by_solves
 
-from conftest import bfs_syndrome_weights
+from conftest import bfs_syndrome_weights, row_form_solutions
+from conftest import solve_affine as row_form_solve_affine
 
 
 def _echelon(rows):
@@ -107,6 +108,27 @@ def row_combination_oracle(vectors, target):
             t ^= b
             tc ^= bc
     return tc if t == 0 else None
+
+
+@st.composite
+def constraint_lists(draw):
+    """(constraints, dim): pairing constraints (v, c) over 2k-vectors, with
+    zero vectors and XOR combinations of earlier vectors mixed in; a
+    combination's c is drawn too, so some lists are inconsistent."""
+    dim = 2 * draw(st.integers(1, 4))
+    constraints: list[tuple[int, int]] = []
+    for _ in range(draw(st.integers(0, dim + 2))):
+        kind = draw(st.sampled_from(["fresh", "fresh", "combination", "zero"]))
+        if kind == "combination" and constraints:
+            v = 0
+            for w, _ in draw(st.lists(st.sampled_from(constraints), min_size=1, max_size=3)):
+                v ^= w
+        elif kind == "zero":
+            v = 0
+        else:
+            v = draw(st.integers(0, (1 << dim) - 1))
+        constraints.append((v, draw(st.integers(0, 1))))
+    return constraints, dim
 
 
 def solution_space_oracle(constraints, dim):
@@ -547,8 +569,10 @@ class TestEchelonAgainstOracles:
     def test_solve_affine(self, system, data):
         width, rows = system
         rhs = data.draw(st.lists(st.integers(0, 1), min_size=len(rows), max_size=len(rows)))
-        x = solve_affine(rows, rhs, width)
-        assert (None if x is None else x.bits) == solve_affine_oracle(rows, rhs, width)
+        want = solve_affine_oracle(rows, rhs, width)
+        for solve in (solve_affine, row_form_solve_affine):
+            x = solve(rows, rhs, width)
+            assert (None if x is None else x.bits) == want
 
     @given(row_systems(), st.data())
     def test_row_combination(self, system, data):
@@ -569,13 +593,18 @@ class TestEchelonAgainstOracles:
         targets += [rows[i] ^ rows[-1] for i in range(len(rows))]
         assert _row_combinations(rows, targets) == [row_combination_oracle(rows, t) for t in targets]
 
-    @given(st.integers(1, 4), st.data())
-    def test_solution_space(self, k, data):
-        dim = 2 * k
-        constraints = data.draw(
-            st.lists(st.tuples(st.integers(0, (1 << dim) - 1), st.integers(0, 1)), max_size=dim + 2)
-        )
-        assert _solution_space(constraints, dim) == solution_space_oracle(constraints, dim)
+    @given(constraint_lists())
+    @settings(max_examples=300)
+    def test_solution_space(self, system):
+        """The column read-off against assign's former echelon and against
+        the row-form eliminations ``solve_affine`` and ``null_space_basis``,
+        None exactly when the constraints are inconsistent."""
+        constraints, dim = system
+        want = solution_space_oracle(constraints, dim)
+        assert _solution_space(constraints, dim) == want
+        k = dim // 2
+        functionals = [((v & ((1 << k) - 1)) << k) | (v >> k) for v, _ in constraints]
+        assert row_form_solutions(functionals, [c for _, c in constraints], dim) == want
 
 
 @pytest.mark.parametrize("name", datasets.NAMES)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magicsets import bound, datasets, gram
-from magicsets.gf2 import BitMatrix, _block_low, _rank_rows, null_space_basis, rank
+from magicsets.gf2 import BitMatrix, _affine_solutions, _block_low, _rank_rows, null_space_basis, rank
 from magicsets.gram import (
     MinQubitsResult,
     NoMagicGramError,
@@ -20,7 +20,7 @@ from magicsets.gram import (
     magic_parity,
     min_qubits,
     _cocontext_pairs,
-    _defect_systems,
+    _defects,
     _inversion_masks,
     _parity_via_masks,
     valid_gram_space,
@@ -38,6 +38,9 @@ from conftest import (
     random_proper_eulerian,
     relabelled,
     rigid_blocks,
+    row_form_solutions,
+    seeded_magic_grams,
+    transposed,
 )
 
 
@@ -261,15 +264,28 @@ class TestReducedMinimal:
         with pytest.raises(NoMagicGramError):
             is_minimal(parse_edge_list("[[1,2],[2,3],[3,4],[4,1]]"))
 
+    def test_hb_decided_without_a_scan_block(self, entries, monkeypatch):
+        """HB's 2^14 * 35 matrix rows lie past ``_SCAN_ROWS``: the defect
+        solves answer, and no block of the space is built."""
+
+        def no_blocks(*args, **kwargs):
+            raise AssertionError("a scan block was built")
+
+        monkeypatch.setattr(gram, "_span_blocks", no_blocks)
+        assert not is_minimal(entries["HB"].hypergraph)
+
 
 class TestDefectSystemsAgainstLoop:
-    """The transposed-table builder yields the bit-probing loop's systems."""
+    """The defects' columns and targets are those of the bit-probing
+    loop's row-form systems, in the same order."""
 
     @staticmethod
     def assert_same_systems(h: Hypergraph) -> None:
         space = valid_gram_space(h)
         args = space.magic_offset, space.nonmagic_basis
-        assert list(_defect_systems(*args)) == list(loop_defect_systems(*args))
+        d = len(space.nonmagic_basis)
+        want = [(kind, *transposed(eqs, rhs, d)) for kind, eqs, rhs in loop_defect_systems(*args)]
+        assert list(_defects(*args)) == want
 
     @pytest.mark.parametrize("name", datasets.NAMES)
     def test_bundled(self, entries, name):
@@ -280,6 +296,44 @@ class TestDefectSystemsAgainstLoop:
         assert len(children) == 6  # magic-space dimensions 1, 2, 3, 5, 7 and 9
         for child in children:
             self.assert_same_systems(child)
+
+
+class TestSliceReadOff:
+    """Each defect's slice, read off its columns by ``_affine_solutions``,
+    is the particular solution and kernel basis of the row-form
+    eliminations ``solve_affine`` and ``null_space_basis``."""
+
+    @staticmethod
+    def assert_read_off_matches(offset: BitMatrix, basis) -> int:
+        m, d = offset.num_rows, len(basis)
+        solvable = 0
+        for _, cols, target in _defects(offset, basis):
+            eqs = [sum(((c >> j) & 1) << l for l, c in enumerate(cols)) for j in range(m)]
+            want = row_form_solutions(eqs, [(target >> j) & 1 for j in range(m)], d)
+            assert _affine_solutions(cols, target) == want
+            solvable += want is not None
+        return solvable
+
+    @pytest.mark.parametrize("name", datasets.NAMES)
+    def test_bundled_at_random_offsets(self, entries, name):
+        space = valid_gram_space(entries[name].hypergraph)
+        offsets = [space.magic_offset]
+        offsets += seeded_magic_grams(entries[name].hypergraph, random.Random(13), 3)
+        for offset in offsets:
+            self.assert_read_off_matches(offset, space.nonmagic_basis)
+
+    def test_hb_descendants(self):
+        for child in hb_descendants(max_dim=9):
+            space = valid_gram_space(child)
+            assert self.assert_read_off_matches(space.magic_offset, space.nonmagic_basis) > 0
+
+    @pytest.mark.parametrize("copies", [4, 14])
+    def test_rows_wider_than_64_bits(self, entries, copies):
+        # HD (45 vertices) beside rigid blocks: 69 and 129 vertices.
+        h = disjoint_union(entries["HD"].hypergraph, rigid_blocks(copies))
+        space = valid_gram_space(h)
+        assert h.vertex_count in (69, 129)
+        assert self.assert_read_off_matches(space.magic_offset, space.nonmagic_basis) > 0
 
 
 def test_gram_consistency_with_pauli_verification(entries):

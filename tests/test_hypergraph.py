@@ -35,7 +35,10 @@ class TestParsing:
         with pytest.raises(EdgeListParseError):
             parse_edge_list("[[1,2,]]")
 
-    @pytest.mark.parametrize("bad", ["[[0]]", "[[-1,2]]", "[[1,2]", "[[1 2]]", "[[1,2]]x"])
+    @pytest.mark.parametrize(
+        "bad",
+        ["[[0]]", "[[-1,2]]", "[[1,2]", "[[1 2]]", "[[1,2]]x", "[[true]]", "[[1.0]]", "[[[1]]]", "{}"],
+    )
     def test_malformed(self, bad):
         with pytest.raises(EdgeListParseError):
             parse_edge_list(bad)

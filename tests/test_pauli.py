@@ -30,6 +30,37 @@ _MATS = {
 }
 
 
+# Single-qubit products as (power of i, letter), built from X.Y = iZ and
+# its cyclic variants; reversed order flips the sign.  The letter table
+# ``multiply`` looked up per qubit before it counted cyclic and anticyclic
+# letter pairs with bit masks, kept as its oracle.
+_CYCLE = {("X", "Y"): "Z", ("Y", "Z"): "X", ("Z", "X"): "Y"}
+_PRODUCT: dict[tuple[str, str], tuple[int, str]] = {}
+for a in "IXYZ":
+    for b in "IXYZ":
+        if a == "I":
+            _PRODUCT[a, b] = (0, b)
+        elif b == "I":
+            _PRODUCT[a, b] = (0, a)
+        elif a == b:
+            _PRODUCT[a, b] = (0, "I")
+        elif (a, b) in _CYCLE:
+            _PRODUCT[a, b] = (1, _CYCLE[a, b])
+        else:
+            _PRODUCT[a, b] = (3, _CYCLE[b, a])
+
+
+def table_multiply(words: list[str]) -> tuple[int, str]:
+    """(power of i, letters) of the product of the words, left to right,
+    one ``_PRODUCT`` lookup per qubit and factor."""
+    power, acc = 0, words[0]
+    for w in words[1:]:
+        steps = [_PRODUCT[x, y] for x, y in zip(acc, w)]
+        power += sum(dp for dp, _ in steps)
+        acc = "".join(letter for _, letter in steps)
+    return power % 4, acc
+
+
 def matrix_of(word: str) -> np.ndarray:
     m = np.eye(1, dtype=complex)
     for c in word:
@@ -139,6 +170,19 @@ class TestMultiply:
         for w in words:
             acc = acc ^ encode(w)
         assert out.body == acc
+
+    @pytest.mark.parametrize("pair", [a + b for a in "IXYZ" for b in "IXYZ"])
+    def test_letter_pairs_match_table(self, pair):
+        out = multiply([encode(pair[0]), encode(pair[1])])
+        assert (out.phase_power, decode(out.body)) == table_multiply([pair[0], pair[1]])
+
+    def test_random_products_match_table(self):
+        rng = random.Random(29)
+        for _ in range(500):
+            k = rng.randint(1, 8)
+            words = ["".join(rng.choice("IXYZ") for _ in range(k)) for _ in range(rng.randint(1, 6))]
+            out = multiply([encode(w) for w in words])
+            assert (out.phase_power, decode(out.body)) == table_multiply(words)
 
     def test_sign_raises_on_imaginary(self):
         out = multiply([encode("X"), encode("Y")])  # iZ
