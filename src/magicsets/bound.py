@@ -29,7 +29,7 @@ from .gf2 import (
     _null_vectors,
     _span_blocks,
 )
-from .gram import GramSpace, NoMagicGramError, _inversion_masks, _parity_via_masks, valid_gram_space
+from .gram import GramSpace, _inversion_masks, _magic_space, _parity_via_masks
 from .hypergraph import Hypergraph, incidence_matrix, is_proper_eulerian
 
 #: Default cap on the brute-force vertex count (2^m assignments).
@@ -311,9 +311,7 @@ def hypergraph_bound(h: Hypergraph, pauli_only: bool = True) -> HypergraphBoundR
     codim = n - ech.rank
     grams_checked = None
 
-    space = valid_gram_space(h)
-    if space.magic_offset is None:
-        raise NoMagicGramError(f"{h.name or 'hypergraph'} admits no magic Gram matrix")
+    space = _magic_space(h)
 
     if pauli_only:
         r0, gens = _pauli_sign_cosets(h, space, ech)

@@ -6,10 +6,11 @@ deterministic; values are immutable after construction.
 
 Elimination runs through one kernel, ``Echelon``, whose pivot is always
 a row's lowest set bit.  The convention is load-bearing: it fixes the
-reduced echelon form, hence the null-space basis of ``null_space_basis``
-(the valid Gram basis, and through it every magic witness, synthesized
-assignment and maximizing sign pattern the CLI prints) and the coset
-representatives of ``Echelon.reduce``, hence ``SyndromeTable``'s
+reduced echelon form, hence the null-space basis ``_null_vectors`` reads
+off it (the valid Gram basis comes straight from it, and through that
+every magic witness, synthesized assignment and maximizing sign pattern
+the CLI prints; ``null_space_basis`` wraps the same read-off) and the
+coset representatives of ``Echelon.reduce``, hence ``SyndromeTable``'s
 syndromes.  Only the rank does not depend on it, so ``rank`` pivots on
 the highest bit.
 

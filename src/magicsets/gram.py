@@ -23,8 +23,8 @@ from .gf2 import (
     Echelon,
     _block_low,
     _block_ranks,
+    _null_vectors,
     _span_blocks,
-    null_space_basis,
 )
 from .hypergraph import Hypergraph, is_proper_eulerian
 
@@ -41,43 +41,38 @@ class NoMagicGramError(ValueError):
 
 @dataclass(frozen=True)
 class GramSpace:
-    """Basis of the valid Gram space plus its magic/nonmagic split.
+    """The valid Gram space as its magic/nonmagic split.
 
-    magic_offset is None exactly when no basis element is magic, which by
-    linearity of the magic parity means no magic Gram matrix exists at all.
-    Otherwise the magic matrices are magic_offset + span(nonmagic_basis),
-    with len(nonmagic_basis) == dim - 1.
+    magic_offset is None exactly when no valid Gram matrix is magic (the
+    magic parity is linear).  Otherwise the magic matrices are
+    magic_offset + span(nonmagic_basis).  ``basis``, a basis of the whole
+    space, is derived: (magic_offset, *nonmagic_basis), or nonmagic_basis.
     """
 
     hypergraph: Hypergraph
-    basis: tuple[BitMatrix, ...]
     magic_offset: BitMatrix | None
     nonmagic_basis: tuple[BitMatrix, ...]
 
     @property
+    def basis(self) -> tuple[BitMatrix, ...]:
+        offset = () if self.magic_offset is None else (self.magic_offset,)
+        return offset + self.nonmagic_basis
+
+    @property
     def dim(self) -> int:
-        return len(self.basis)
-
-
-def _cocontext_pairs(h: Hypergraph) -> set[tuple[int, int]]:
-    pairs = set()
-    for e in h.edges:
-        uniq = sorted(set(e))
-        for a in range(len(uniq)):
-            for b in range(a + 1, len(uniq)):
-                pairs.add((uniq[a] - 1, uniq[b] - 1))
-    return pairs
+        return len(self.nonmagic_basis) + (self.magic_offset is not None)
 
 
 @lru_cache(maxsize=4096)
 def _validity_masks(h: Hypergraph) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """Per row, the mask of its co-contextual columns; per context, its
-    distinct members (0-based)."""
-    masks = [0] * h.vertex_count
-    for i, j in _cocontext_pairs(h):
-        masks[i] |= 1 << j
-        masks[j] |= 1 << i
+    """Per row, the mask of its co-contextual columns (the diagonal
+    excluded); per context, its distinct members (0-based)."""
     members = tuple(tuple(sorted(set(v - 1 for v in e))) for e in h.edges)
+    masks = [0] * h.vertex_count
+    for context in members:
+        bits = sum(1 << v for v in context)
+        for v in context:
+            masks[v] |= bits ^ (1 << v)
     return tuple(masks), members
 
 
@@ -207,12 +202,6 @@ def is_magic_gram(h: Hypergraph, g: BitMatrix) -> bool:
     return fast_magic_parity(h, g) == 1
 
 
-def _pair_variables(h: Hypergraph) -> list[tuple[int, int]]:
-    m = h.vertex_count
-    forbidden = _cocontext_pairs(h)
-    return [(i, j) for i in range(m) for j in range(i + 1, m) if (i, j) not in forbidden]
-
-
 def _matrix_from_pair_bits(m: int, pairs: list[tuple[int, int]], bits: int) -> BitMatrix:
     """The symmetric matrix with entries (i, j) and (j, i) set for every
     pair ``pairs[t]`` whose bit t is set; visits only the set bits."""
@@ -228,50 +217,66 @@ def _matrix_from_pair_bits(m: int, pairs: list[tuple[int, int]], bits: int) -> B
 
 @lru_cache(maxsize=256)
 def valid_gram_space(h: Hypergraph) -> GramSpace:
-    """Solve the validity conditions for a basis of the valid Gram space.
+    """Solve the validity conditions for the magic split of the valid Gram space.
 
-    Unknowns are the off-diagonal entries on pairs not sharing any context;
-    every context contributes one row-sum equation per vertex column.
-    Results are cached per hypergraph (``GramSpace`` is frozen and holds
-    only tuples), so the callers that each need the space of one
-    hypergraph share a single solve.
+    Unknowns are the entries on pairs (i, j), i < j, sharing no context,
+    by i then j; each context gives one row-sum equation per vertex
+    column.  The equations stream into one ``Echelon`` and
+    ``_null_vectors`` reads off the kernel.  The magic parity is linear in
+    the unknowns (pair (i, j) counts when bit i of ``_inversion_masks``
+    row j is set): the first odd kernel vector is the offset, each later
+    odd one is XORed with it, and only then do vectors become matrices.
+    Cached per hypergraph, so its callers share a single solve.
     """
     ok, diag = is_proper_eulerian(h)
     if not ok:
         raise NotProperEulerianError(diag)
     m = h.vertex_count
-    pairs = _pair_variables(h)
-    var_index = {p: t for t, p in enumerate(pairs)}
+    masks, members = _validity_masks(h)
+    inversions = _inversion_masks(h, tuple(range(h.num_edges)))
+    # index[j][i] numbers the unknown on pair {i, j}, -1 on co-contextual pairs.
+    index = [[-1] * m for _ in range(m)]
+    pairs: list[tuple[int, int]] = []
+    parity = 0
+    for i in range(m):
+        for j in range(i + 1, m):
+            if not (masks[i] >> j) & 1:
+                t = len(pairs)
+                index[i][j] = index[j][i] = t
+                if (inversions[j] >> i) & 1:
+                    parity |= 1 << t
+                pairs.append((i, j))
 
-    equations = []
-    for e in h.edges:
-        members = sorted(set(v - 1 for v in e))
+    ech = Echelon()
+    for context in members:
         for j in range(m):
+            row = index[j]
             eq = 0
-            for i in members:
-                if i == j:
-                    continue
-                key = (i, j) if i < j else (j, i)
-                t = var_index.get(key)
-                if t is not None:
+            for i in context:
+                t = row[i]
+                if t >= 0:
                     eq |= 1 << t
             if eq:
-                equations.append(eq)
-    system = BitMatrix(len(pairs), tuple(equations))
-    kernel = null_space_basis(system)
-    basis = tuple(_matrix_from_pair_bits(m, pairs, v.bits) for v in kernel)
+                ech.insert(eq)
 
-    parities = [fast_magic_parity(h, b) for b in basis]
-    offset = None
-    nonmagic: list[BitMatrix] = []
-    for b, p in zip(basis, parities):
-        if p == 1 and offset is None:
-            offset = b
-        elif p == 1:
-            nonmagic.append(b ^ offset)
-        else:
-            nonmagic.append(b)
-    return GramSpace(h, basis, offset, tuple(nonmagic))
+    offset, nonmagic = None, []
+    for v in _null_vectors(ech, len(pairs)):
+        if (v & parity).bit_count() & 1:
+            if offset is None:
+                offset = v
+                continue
+            v ^= offset
+        nonmagic.append(_matrix_from_pair_bits(m, pairs, v))
+    offset = None if offset is None else _matrix_from_pair_bits(m, pairs, offset)
+    return GramSpace(h, offset, tuple(nonmagic))
+
+
+def _magic_space(h: Hypergraph) -> GramSpace:
+    """``valid_gram_space(h)``; NoMagicGramError when no matrix of it is magic."""
+    space = valid_gram_space(h)
+    if space.magic_offset is None:
+        raise NoMagicGramError(f"{h.name or 'hypergraph'} admits no magic Gram matrix")
+    return space
 
 
 def magic_affine_space(h: Hypergraph) -> tuple[BitMatrix, tuple[BitMatrix, ...]] | None:
@@ -336,9 +341,7 @@ def min_qubits(h: Hypergraph, enumeration_cap: int = 24) -> MinQubitsResult:
     offset, then its single and pair basis shifts, in blocks of the same
     size, and its witness is the first of least rank in that list.
     """
-    space = valid_gram_space(h)
-    if space.magic_offset is None:
-        raise NoMagicGramError(f"{h.name or 'hypergraph'} admits no magic Gram matrix")
+    space = _magic_space(h)
     offset = space.magic_offset
     d = len(space.nonmagic_basis)
     total = 1 << d
@@ -497,9 +500,7 @@ def is_minimal(h: Hypergraph) -> bool:
     rows, at any row width, and past that one span-membership test per
     defect (each defect is an affine condition on the magic space).
     """
-    space = valid_gram_space(h)
-    if space.magic_offset is None:
-        raise NoMagicGramError(f"{h.name or 'hypergraph'} admits no magic Gram matrix")
+    space = _magic_space(h)
     return not _has_reducible_matrix(space.magic_offset, space.nonmagic_basis)
 
 

@@ -55,16 +55,21 @@ class Hypergraph:
         labels: Sequence[str] | None = None,
     ) -> "Hypergraph":
         """Raises ValueError unless the vertex count (when given) and every
-        vertex index are integers (bools are refused)."""
+        vertex index are integers (bools are refused), and unless labels
+        (when given) is a list or tuple of strings."""
         if vertex_count is not None:
             _integer(vertex_count, "vertex count")
+        if labels is not None:
+            if not isinstance(labels, (list, tuple)) or not all(isinstance(x, str) for x in labels):
+                raise ValueError(f"labels must be a list of strings, got {labels!r}")
+            labels = tuple(labels)
         try:
             canon = tuple(tuple(sorted(_integer(v, "vertex index") for v in e)) for e in edges)
         except TypeError:
             raise ValueError("edges must be a list of vertex lists") from None
         if vertex_count is None:
             vertex_count = max((v for e in canon for v in e), default=0)
-        return cls(vertex_count, canon, name, tuple(labels) if labels is not None else None)
+        return cls(vertex_count, canon, name, labels)
 
     @property
     def num_edges(self) -> int:

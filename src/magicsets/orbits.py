@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .hypergraph import Hypergraph, is_proper_eulerian
 
@@ -52,18 +52,21 @@ class PermutationGroup:
         return tuple(sorted(g[v - 1] for v in subset))
 
     def vertex_orbit(self, v: int) -> frozenset[int]:
-        seen = {v}
-        frontier = [v]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for g in self.generators:
-                    w = g[u - 1]
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        return frozenset(seen)
+        return frozenset(orbit(v, lambda u: (g[u - 1] for g in self.generators)))
+
+
+def orbit(seed: Hashable, images: Callable[[Hashable], Iterable[Hashable]]) -> list:
+    """The closure of ``seed`` under ``images`` (a point's images under
+    each generator), breadth-first: points in the order they are found,
+    seed first."""
+    points = [seed]
+    seen = {seed}
+    for point in points:  # grows while it is walked
+        for image in images(point):
+            if image not in seen:
+                seen.add(image)
+                points.append(image)
+    return points
 
 
 def subset_orbits(
@@ -85,19 +88,9 @@ def subset_orbits(
     for seed in combinations(range(1, n + 1), s):
         if seed in visited:
             continue
-        orbit = {seed}
-        frontier = [seed]
-        while frontier:
-            nxt = []
-            for sub in frontier:
-                for g in group.generators:
-                    img = group.apply(g, sub)
-                    if img not in orbit:
-                        orbit.add(img)
-                        nxt.append(img)
-            frontier = nxt
-        visited |= orbit
-        orbits.append(sorted(orbit))
+        found = orbit(seed, lambda sub: (group.apply(g, sub) for g in group.generators))
+        visited.update(found)
+        orbits.append(sorted(found))
     return orbits
 
 
@@ -180,6 +173,7 @@ __all__ = [
     "PermutationGroup",
     "OrbitCapError",
     "DEFAULT_SUBSET_CAP",
+    "orbit",
     "subset_orbits",
     "candidate_hypergraphs",
     "group_preserves_edges",

@@ -20,11 +20,11 @@ import numpy as np
 from .gf2 import BitMatrix, _affine_solutions, _block_low, _span_blocks
 from .gram import (
     GramSpace,
-    NoMagicGramError,
     _DeadlineReached,
     _check_deadline,
     _defects,
     _has_reducible_matrix,
+    _magic_space,
     _matrix_of_words,
     _reducible_rows,
     _row_keys,
@@ -36,6 +36,7 @@ from .gram import (
     validate_gram,
 )
 from .hypergraph import Hypergraph, is_proper_eulerian
+from .orbits import orbit
 
 
 class RecipeError(ValueError):
@@ -566,21 +567,16 @@ def _signature_orbit(sig: tuple, gens: list[list[int]]) -> list[tuple]:
     classes) to one whose signature is the image, with an isomorphic
     reduction, so a whole orbit reduces to one isomorphism class.
     """
-    orbit = {sig: None}
-    frontier = [sig]
-    while frontier:
-        nxt = []
-        for zero, classes in frontier:
-            for g in gens:
-                image = (
-                    tuple(sorted(g[i] for i in zero)),
-                    tuple(sorted(tuple(sorted(g[i] for i in c)) for c in classes)),
-                )
-                if image not in orbit:
-                    orbit[image] = None
-                    nxt.append(image)
-        frontier = nxt
-    return list(orbit)
+
+    def images(s: tuple):
+        zero, classes = s
+        for g in gens:
+            yield (
+                tuple(sorted(g[i] for i in zero)),
+                tuple(sorted(tuple(sorted(g[i] for i in c)) for c in classes)),
+            )
+
+    return orbit(sig, images)
 
 
 def find_minimal_descendants(
@@ -623,9 +619,7 @@ def find_minimal_descendants(
     """
     t0 = time.monotonic()
     deadline = None if max_seconds is None else t0 + max_seconds
-    space = valid_gram_space(h)
-    if space.magic_offset is None:
-        raise NoMagicGramError(f"{h.name or 'hypergraph'} admits no magic Gram matrix")
+    space = _magic_space(h)
 
     is_minimal_class: dict[tuple, bool] = {}
     minimal: list[Hypergraph] = []

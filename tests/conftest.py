@@ -99,6 +99,70 @@ def rigid_blocks(copies: int) -> Hypergraph:
     return disjoint_union(*[Hypergraph.from_edges(triples, 6)] * copies)
 
 
+def cocontext_pairs(h: Hypergraph) -> set[tuple[int, int]]:
+    """Pairs (i, j), i < j (0-based), of distinct vertices sharing a context."""
+    pairs = set()
+    for e in h.edges:
+        uniq = sorted(set(e))
+        for a in range(len(uniq)):
+            for b in range(a + 1, len(uniq)):
+                pairs.add((uniq[a] - 1, uniq[b] - 1))
+    return pairs
+
+
+def pair_variables(h: Hypergraph) -> list[tuple[int, int]]:
+    """The valid-Gram unknowns: pairs (i, j), i < j, sharing no context, by i then j."""
+    m = h.vertex_count
+    forbidden = cocontext_pairs(h)
+    return [(i, j) for i in range(m) for j in range(i + 1, m) if (i, j) not in forbidden]
+
+
+def valid_gram_system(h: Hypergraph) -> BitMatrix:
+    """The valid-Gram equations over the ``pair_variables`` unknowns, one
+    per context and vertex column, empty ones dropped: the system the
+    library stored whole before it streamed the equations into one
+    echelon."""
+    m = h.vertex_count
+    var_index = {p: t for t, p in enumerate(pair_variables(h))}
+    equations = []
+    for e in h.edges:
+        members = sorted(set(v - 1 for v in e))
+        for j in range(m):
+            eq = 0
+            for i in members:
+                if i == j:
+                    continue
+                t = var_index.get((i, j) if i < j else (j, i))
+                if t is not None:
+                    eq |= 1 << t
+            if eq:
+                equations.append(eq)
+    return BitMatrix(len(var_index), tuple(equations))
+
+
+def matrix_split_oracle(h: Hypergraph) -> tuple[BitMatrix | None, tuple[BitMatrix, ...], int]:
+    """(magic_offset, nonmagic_basis, dim) of the valid Gram space, split
+    matrix by matrix: every kernel vector of ``valid_gram_system`` becomes
+    a matrix, ``fast_magic_parity`` scores each, the first odd one is the
+    offset and every later odd one is XORed with it.  How
+    ``valid_gram_space`` split the space before it split the kernel
+    vectors by one parity mask, kept as its oracle."""
+    m = h.vertex_count
+    pairs = pair_variables(h)
+    kernel = null_space_basis(valid_gram_system(h))
+    basis = [gram._matrix_from_pair_bits(m, pairs, v.bits) for v in kernel]
+    offset = None
+    nonmagic = []
+    for b in basis:
+        if gram.fast_magic_parity(h, b) == 1:
+            if offset is None:
+                offset = b
+                continue
+            b = b ^ offset
+        nonmagic.append(b)
+    return offset, tuple(nonmagic), len(basis)
+
+
 def seeded_magic_grams(h: Hypergraph, rng: random.Random, count: int) -> list[BitMatrix]:
     """Up to ``count`` distinct magic Gram matrices: offset + random combinations."""
     space = valid_gram_space(h)

@@ -66,6 +66,15 @@ class TestCheck:
         assert main(["check", str(path)]) == 2
         assert "must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("labels", [5, "abcdefghi", list(range(9))])
+    def test_malformed_labels_are_input_errors(self, tmp_path, capsys, labels):
+        doc = datasets.load("square").hypergraph.to_json_dict()
+        doc["labels"] = labels
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", str(path)]) == 2
+        assert "labels must be a list of strings" in capsys.readouterr().err
+
     def test_bracket_text_accepted(self, tmp_path, capsys):
         path = tmp_path / "square.txt"
         path.write_text("[[1,2,3],[4,5,6],[7,8,9],[1,4,7],[2,5,8],[3,6,9]]")

@@ -26,13 +26,14 @@ from magicsets.gf2 import (
     _block_low,
     _block_ranks,
     _min_weight_dfs,
+    _null_vectors,
     _rank_rows,
     _row_combinations,
     _span_blocks,
 )
 from magicsets.gram import _reducible_by_scan, _reducible_by_solves
 
-from conftest import bfs_syndrome_weights, row_form_solutions
+from conftest import bfs_syndrome_weights, row_form_solutions, valid_gram_system
 from conftest import solve_affine as row_form_solve_affine
 
 
@@ -609,18 +610,30 @@ class TestEchelonAgainstOracles:
 
 @pytest.mark.parametrize("name", datasets.NAMES)
 def test_valid_gram_system_rref_matches_oracle(name, monkeypatch):
-    """Byte-identical RREF and kernel on every bundled valid-Gram system."""
-    systems = []
+    """Byte-identical RREF and kernel on every bundled valid-Gram system:
+    the equations ``gram.Echelon`` receives, the echelon ``gram._null_vectors``
+    reads and the kernel it returns, against the eliminations they replaced."""
+    received = []
+    solves = []
 
-    def capture(m):
-        systems.append(m)
-        return null_space_basis(m)
+    class Recording(Echelon):
+        def insert(self, row):
+            received.append(row)
+            return super().insert(row)
 
-    monkeypatch.setattr(gram, "null_space_basis", capture)
-    gram.valid_gram_space(datasets.load(name).hypergraph)
-    (system,) = systems
-    assert Echelon(system.rows).rref() == _echelon(system.rows)
-    assert [v.bits for v in null_space_basis(system)] == null_space_oracle(system.rows, system.cols)
+    def capture(ech, cols):
+        solves.append((ech, cols))
+        return _null_vectors(ech, cols)
+
+    monkeypatch.setattr(gram, "Echelon", Recording)
+    monkeypatch.setattr(gram, "_null_vectors", capture)
+    h = datasets.load(name).hypergraph
+    gram.valid_gram_space(h)
+    ((ech, cols),) = solves
+    system = valid_gram_system(h)
+    assert tuple(received) == system.rows and cols == system.cols
+    assert ech.rref() == _echelon(system.rows)
+    assert _null_vectors(ech, cols) == null_space_oracle(system.rows, system.cols)
 
 
 class TestBlockLow:

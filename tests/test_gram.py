@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magicsets import bound, datasets, gram
-from magicsets.gf2 import BitMatrix, _affine_solutions, _block_low, _rank_rows, null_space_basis, rank
+from magicsets.gf2 import BitMatrix, _affine_solutions, _block_low, _null_vectors, _rank_rows, rank
 from magicsets.gram import (
     MinQubitsResult,
     NoMagicGramError,
@@ -19,7 +19,6 @@ from magicsets.gram import (
     magic_affine_space,
     magic_parity,
     min_qubits,
-    _cocontext_pairs,
     _defects,
     _inversion_masks,
     _parity_via_masks,
@@ -28,13 +27,17 @@ from magicsets.gram import (
 )
 from magicsets.hypergraph import Hypergraph, dual, parse_edge_list
 from magicsets.pauli import gram_matrix_of
+from magicsets.planarity import _prune_low_degree
 
 from conftest import (
+    cocontext_pairs,
     disjoint_union,
     gray_enumerate,
     hb_descendants,
     loop_defect_systems,
     magic_descendant,
+    matrix_split_oracle,
+    pair_variables,
     random_proper_eulerian,
     relabelled,
     rigid_blocks,
@@ -111,6 +114,61 @@ class TestValidGramSpace:
         assert valid_gram_space(entries["HC"].hypergraph).dim == 27
 
 
+class TestMagicSplitAgainstOracle:
+    """The split of the kernel vectors by one parity mask against
+    ``conftest.matrix_split_oracle``, which builds every kernel matrix and
+    scores each with ``fast_magic_parity``."""
+
+    @staticmethod
+    def assert_same_split(h: Hypergraph) -> BitMatrix | None:
+        space = valid_gram_space(h)
+        assert (space.magic_offset, space.nonmagic_basis, space.dim) == matrix_split_oracle(h)
+        return space.magic_offset
+
+    @pytest.mark.parametrize("name", datasets.NAMES)
+    def test_bundled(self, entries, name):
+        self.assert_same_split(entries[name].hypergraph)
+
+    def test_hb_descendants(self):
+        for child in hb_descendants(max_dim=9):
+            assert self.assert_same_split(child) is not None
+
+    @pytest.mark.parametrize("copies", [4, 14])
+    def test_hd_beside_rigid_blocks(self, entries, copies):
+        h = disjoint_union(entries["HD"].hypergraph, rigid_blocks(copies))
+        assert self.assert_same_split(h) is not None
+
+    def test_planarity_duals(self):
+        # Seeded graphs of the planarity workload's sizes, pruned and dualized
+        # as ``is_planar_via_gram`` does.
+        rng = random.Random(15)
+        magic = []
+        for n in range(8, 23):
+            pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+            for p in (0.15, 0.2, 0.25, 0.3):
+                graph = Hypergraph.from_edges(rng.sample(pairs, round(p * len(pairs))), n)
+                core, _ = _prune_low_degree(graph)
+                if core.num_edges:
+                    magic.append(self.assert_same_split(dual(core)) is not None)
+        assert any(magic) and not all(magic)
+
+    def test_no_per_matrix_parity_or_xor(self, entries, monkeypatch):
+        def fail(*args):
+            raise AssertionError("the split scored or added a whole matrix")
+
+        monkeypatch.setattr(gram, "fast_magic_parity", fail)
+        monkeypatch.setattr(BitMatrix, "__xor__", fail)
+        for entry in entries.values():
+            valid_gram_space(entry.hypergraph)
+
+    def test_basis_is_derived(self, square):
+        space = valid_gram_space(square.hypergraph)
+        assert space.basis == (space.magic_offset, *space.nonmagic_basis)
+        cycle = valid_gram_space(parse_edge_list("[[1,2],[2,3],[3,4],[4,1]]"))
+        assert cycle.magic_offset is None
+        assert cycle.basis == cycle.nonmagic_basis and cycle.dim == len(cycle.basis)
+
+
 def pair_loop_matrix(m: int, pairs: list[tuple[int, int]], bits: int) -> BitMatrix:
     """The conversion ``gram._matrix_from_pair_bits`` replaced, testing
     every pair unknown in turn: its oracle."""
@@ -131,11 +189,11 @@ class TestMatrixFromPairBits:
         graph = Hypergraph.from_edges(graph_edges, 22)
         hs = [e.hypergraph for e in entries.values()] + [dual(graph)]
         for h in hs:
-            m, pairs = h.vertex_count, gram._pair_variables(h)
+            m, pairs = h.vertex_count, pair_variables(h)
             full = (1 << len(pairs)) - 1
             for bits in [0, full, 1 << (len(pairs) - 1)] + [rng.getrandbits(len(pairs)) for _ in range(20)]:
                 assert gram._matrix_from_pair_bits(m, pairs, bits) == pair_loop_matrix(m, pairs, bits)
-        assert len(gram._pair_variables(hs[-1])) > 800
+        assert len(pair_variables(hs[-1])) > 800
 
 
 class TestMagicGram:
@@ -441,7 +499,7 @@ def entry_loop_problems(h: Hypergraph, g: BitMatrix) -> list[str]:
         for j in range(i + 1, m):
             if g.entry(i, j) != g.entry(j, i):
                 problems.append(f"asymmetric at ({i + 1},{j + 1})")
-    for i, j in sorted(_cocontext_pairs(h)):
+    for i, j in sorted(cocontext_pairs(h)):
         if g.entry(i, j):
             problems.append(f"nonzero on co-contextual pair ({i + 1},{j + 1})")
     for idx, e in enumerate(h.edges):
@@ -506,11 +564,11 @@ def test_one_solve_per_hypergraph(entries, monkeypatch):
     hypergraph share a single solve of the valid-Gram system."""
     solves = []
 
-    def counting(m):
-        solves.append(m)
-        return null_space_basis(m)
+    def counting(ech, cols):
+        solves.append(cols)
+        return _null_vectors(ech, cols)
 
-    monkeypatch.setattr(gram, "null_space_basis", counting)
+    monkeypatch.setattr(gram, "_null_vectors", counting)
     h = entries["MS3-27b"].hypergraph
     space = valid_gram_space(h)
     min_qubits(h)

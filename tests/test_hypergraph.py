@@ -43,6 +43,13 @@ class TestParsing:
         with pytest.raises(EdgeListParseError):
             parse_edge_list(bad)
 
+    @pytest.mark.parametrize("labels", [5, "abcdefghi", list(range(9))])
+    def test_malformed_labels(self, square, labels):
+        doc = square.hypergraph.to_json_dict()
+        doc["labels"] = labels
+        with pytest.raises(ValueError, match="labels must be a list of strings"):
+            Hypergraph.from_json_dict(doc)
+
     def test_explicit_vertex_count(self):
         h = parse_edge_list("[[1,2]]", vertex_count=5)
         assert h.vertex_count == 5

@@ -10,6 +10,7 @@ from magicsets.orbits import (
     group_preserves_edges,
     is_vertex_transitive_under,
     ms327_hypergraph,
+    orbit,
     subset_orbits,
     z3_translation_group,
 )
@@ -28,6 +29,14 @@ class TestPermutationGroup:
     def test_vertex_orbit(self):
         g = PermutationGroup.from_images(4, [[2, 3, 4, 1]])
         assert g.vertex_orbit(1) == frozenset({1, 2, 3, 4})
+
+
+def test_orbit_is_breadth_first_from_the_seed():
+    # Generators x -> x + 1 and x -> x + 3 on Z_8: level by level, each
+    # point's images in generator order.
+    found = orbit(0, lambda x: ((x + 1) % 8, (x + 3) % 8))
+    assert found == [0, 1, 3, 2, 4, 6, 5, 7]
+    assert orbit("a", lambda x: ()) == ["a"]
 
 
 class TestSubsetOrbits:
