@@ -29,7 +29,7 @@ from .gf2 import (
     _null_vectors,
     _span_blocks,
 )
-from .gram import GramSpace, _inversion_masks, _magic_space, _parity_via_masks
+from .gram import GramSpace, NotProperEulerianError, _inversion_masks, _magic_space, _parity_via_masks
 from .hypergraph import Hypergraph, incidence_matrix, is_proper_eulerian
 
 #: Default cap on the brute-force vertex count (2^m assignments).
@@ -104,7 +104,7 @@ def noncontextual_bound(h: Hypergraph, c: BitVector) -> BoundReport:
     """
     ok, diag = is_proper_eulerian(h)
     if not ok:
-        raise ValueError(f"hypergraph is not proper Eulerian: {diag}")
+        raise NotProperEulerianError(diag)
     n = h.num_edges
     if c.length != n:
         raise ValueError(f"sign vector length {c.length}, expected {n}")
@@ -152,7 +152,7 @@ def brute_force_bound(
     """
     ok, diag = is_proper_eulerian(h)
     if not ok:
-        raise ValueError(f"hypergraph is not proper Eulerian: {diag}")
+        raise NotProperEulerianError(diag)
     m, n = h.vertex_count, h.num_edges
     if c.length != n:
         raise ValueError(f"sign vector length {c.length}, expected {n}")
@@ -304,7 +304,7 @@ def hypergraph_bound(h: Hypergraph, pauli_only: bool = True) -> HypergraphBoundR
     """
     ok, diag = is_proper_eulerian(h)
     if not ok:
-        raise ValueError(f"hypergraph is not proper Eulerian: {diag}")
+        raise NotProperEulerianError(diag)
     n = h.num_edges
     M = incidence_matrix(h)
     ech = Echelon(M.rows)

@@ -12,8 +12,8 @@ subspace of exactly half the valid Gram space.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -31,7 +31,7 @@ from .hypergraph import Hypergraph, is_proper_eulerian
 
 class NotProperEulerianError(ValueError):
     def __init__(self, diagnostics):
-        super().__init__(f"hypergraph is not proper Eulerian: {diagnostics}")
+        super().__init__(f"hypergraph is not proper Eulerian: {diagnostics.describe()}")
         self.diagnostics = diagnostics
 
 
@@ -45,22 +45,44 @@ class GramSpace:
 
     magic_offset is None exactly when no valid Gram matrix is magic (the
     magic parity is linear).  Otherwise the magic matrices are
-    magic_offset + span(nonmagic_basis).  ``basis``, a basis of the whole
+    magic_offset + span(nonmagic_basis).  ``dim`` is the dimension of the
+    whole space: the pair unknowns less the rank of the validity equations.
+
+    ``nonmagic_basis`` is built on its first read, from the solved system
+    ``valid_gram_space`` leaves here, and cached; the system is released
+    then.  A caller that reads only the offset and ``dim`` (the magic test,
+    planarity) never builds the kernel.  ``basis``, a basis of the whole
     space, is derived: (magic_offset, *nonmagic_basis), or nonmagic_basis.
+    Equality and hash read the hypergraph, offset and dimension, not the
+    solved system; the basis is a function of the hypergraph.
     """
 
     hypergraph: Hypergraph
     magic_offset: BitMatrix | None
-    nonmagic_basis: tuple[BitMatrix, ...]
+    dim: int
+    # (echelon of the equations, pair unknowns, parity mask, offset vector)
+    _system: tuple | None = field(repr=False, compare=False)
+
+    @cached_property
+    def nonmagic_basis(self) -> tuple[BitMatrix, ...]:
+        """The kernel vectors of the system with the offset's own vector
+        dropped and the offset XORed into every other odd one, as matrices."""
+        ech, pairs, parity, offset = self._system
+        m = self.hypergraph.vertex_count
+        basis = []
+        for v in _null_vectors(ech, len(pairs)):
+            if v == offset:
+                continue
+            if (v & parity).bit_count() & 1:
+                v ^= offset
+            basis.append(_matrix_from_pair_bits(m, pairs, v))
+        object.__setattr__(self, "_system", None)
+        return tuple(basis)
 
     @property
     def basis(self) -> tuple[BitMatrix, ...]:
         offset = () if self.magic_offset is None else (self.magic_offset,)
         return offset + self.nonmagic_basis
-
-    @property
-    def dim(self) -> int:
-        return len(self.nonmagic_basis) + (self.magic_offset is not None)
 
 
 @lru_cache(maxsize=4096)
@@ -221,12 +243,20 @@ def valid_gram_space(h: Hypergraph) -> GramSpace:
 
     Unknowns are the entries on pairs (i, j), i < j, sharing no context,
     by i then j; each context gives one row-sum equation per vertex
-    column.  The equations stream into one ``Echelon`` and
-    ``_null_vectors`` reads off the kernel.  The magic parity is linear in
-    the unknowns (pair (i, j) counts when bit i of ``_inversion_masks``
-    row j is set): the first odd kernel vector is the offset, each later
-    odd one is XORed with it, and only then do vectors become matrices.
-    Cached per hypergraph, so its callers share a single solve.
+    column.  The equations stream into one ``Echelon`` column by column,
+    highest column first, each column's contexts in stored order, empty
+    equations skipped.  The magic parity is linear in the unknowns (pair
+    (i, j) counts when bit i of ``_inversion_masks`` row j is set), so
+    the space is magic iff that parity mask lies outside the equations'
+    row space.  Its reduction w by the echelon decides it without the
+    kernel: bit f of w is the parity of the kernel vector of free column
+    f.  The offset is the kernel vector of the lowest set bit f0 of w,
+    found by back-substitution over the stored rows in descending pivot
+    order: x starts as bit f0, and pivot p joins x when its row has an
+    odd number of bits in x above p.  That is the first odd vector
+    ``_null_vectors`` would give.  The rest of the kernel waits for the
+    first read of ``GramSpace.nonmagic_basis``.  Cached per hypergraph, so
+    its callers share a single solve.
     """
     ok, diag = is_proper_eulerian(h)
     if not ok:
@@ -248,9 +278,9 @@ def valid_gram_space(h: Hypergraph) -> GramSpace:
                 pairs.append((i, j))
 
     ech = Echelon()
-    for context in members:
-        for j in range(m):
-            row = index[j]
+    for j in reversed(range(m)):
+        row = index[j]
+        for context in members:
             eq = 0
             for i in context:
                 t = row[i]
@@ -259,16 +289,15 @@ def valid_gram_space(h: Hypergraph) -> GramSpace:
             if eq:
                 ech.insert(eq)
 
-    offset, nonmagic = None, []
-    for v in _null_vectors(ech, len(pairs)):
-        if (v & parity).bit_count() & 1:
-            if offset is None:
-                offset = v
-                continue
-            v ^= offset
-        nonmagic.append(_matrix_from_pair_bits(m, pairs, v))
-    offset = None if offset is None else _matrix_from_pair_bits(m, pairs, offset)
-    return GramSpace(h, offset, tuple(nonmagic))
+    dim = len(pairs) - ech.rank
+    w = ech.reduce(parity)
+    if not w:
+        return GramSpace(h, None, dim, (ech, pairs, parity, 0))
+    x = w & -w
+    for p in sorted(ech.pivots, reverse=True):
+        if ((ech.pivots[p] ^ (1 << p)) & x).bit_count() & 1:
+            x |= 1 << p
+    return GramSpace(h, _matrix_from_pair_bits(m, pairs, x), dim, (ech, pairs, parity, x))
 
 
 def _magic_space(h: Hypergraph) -> GramSpace:

@@ -129,6 +129,18 @@ class Diagnostics:
             or self.edges_with_repeats
         )
 
+    def describe(self) -> str:
+        """The nonempty defects in words, e.g. "odd-degree vertices 1, 3;
+        duplicate edges 2 = 5", 1-based as in the fields."""
+        defects = [
+            ("isolated vertices", self.isolated_vertices),
+            ("odd-degree vertices", self.odd_degree_vertices),
+            ("empty edges", self.empty_edges),
+            ("duplicate edges", [" = ".join(map(str, g)) for g in self.duplicate_edges]),
+            ("edges with repeated vertices", self.edges_with_repeats),
+        ]
+        return "; ".join(f"{name} {', '.join(map(str, ids))}" for name, ids in defects if ids)
+
 
 def parse_edge_list(text: str, vertex_count: int | None = None, name: str | None = None) -> Hypergraph:
     """Parse the bracketed list-of-lists format, e.g. "[[1, 2, 22, 28], ...]".

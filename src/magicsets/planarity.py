@@ -3,9 +3,14 @@
 A simple graph, read as a hypergraph, has a dual whose vertices are the
 graph's edges and whose hyperedges are the vertex neighbourhoods.  The
 graph is nonplanar exactly when the dual's valid Gram space contains a
-magic matrix, i.e. when some basis element is magic.  Degree-0/1 vertices
-never affect planarity but break the dual's Eulerian precondition, so
-they are pruned first.
+magic matrix, i.e. when the parity mask lies outside the validity
+equations' row space; ``valid_gram_space`` decides that from one
+elimination, without the kernel.  Degree-0/1 vertices never affect
+planarity but break the dual's Eulerian precondition, so they are pruned
+first.  The dual of the pruned graph is then proper Eulerian: each graph
+edge lies in exactly two neighbourhoods, every neighbourhood has at least
+two edges, and two vertices share at most one edge, so no two
+neighbourhoods coincide.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 
 from .gf2 import BitMatrix
 from .gram import valid_gram_space
-from .hypergraph import Hypergraph, dual, is_proper_eulerian
+from .hypergraph import Hypergraph, dual
 
 
 class NotASimpleGraphError(ValueError):
@@ -73,11 +78,7 @@ def is_planar_via_gram(g: Hypergraph) -> PlanarityResult:
     core, pruned = _prune_low_degree(g)
     if core.num_edges == 0:
         return PlanarityResult(True, None, (), pruned)
-    h = dual(core)
-    ok, diag = is_proper_eulerian(h)
-    if not ok:
-        raise AssertionError(f"dual of a pruned simple graph must be proper Eulerian: {diag}")
-    space = valid_gram_space(h)
+    space = valid_gram_space(dual(core))
     if space.magic_offset is None:
         return PlanarityResult(True, None, (), pruned)
     # Undo the pruning relabel so certificate rows speak original vertex ids.

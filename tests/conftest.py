@@ -119,15 +119,16 @@ def pair_variables(h: Hypergraph) -> list[tuple[int, int]]:
 
 def valid_gram_system(h: Hypergraph) -> BitMatrix:
     """The valid-Gram equations over the ``pair_variables`` unknowns, one
-    per context and vertex column, empty ones dropped: the system the
+    per vertex column and context, empty ones dropped: the system the
     library stored whole before it streamed the equations into one
-    echelon."""
+    echelon.  Rows come in the order ``valid_gram_space`` streams them:
+    columns from the highest down, each column's contexts in stored order."""
     m = h.vertex_count
     var_index = {p: t for t, p in enumerate(pair_variables(h))}
     equations = []
-    for e in h.edges:
-        members = sorted(set(v - 1 for v in e))
-        for j in range(m):
+    for j in reversed(range(m)):
+        for e in h.edges:
+            members = sorted(set(v - 1 for v in e))
             eq = 0
             for i in members:
                 if i == j:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from magicsets import datasets
+from magicsets import datasets, gram
 from magicsets.cli import main
 
 
@@ -45,6 +45,18 @@ class TestCheck:
         path = tmp_path / "odd.txt"
         path.write_text("[[1,2,3]]")
         assert main(["check", str(path)]) == 1
+
+    def test_non_magic_json_without_the_kernel(self, tmp_path, capsys, monkeypatch):
+        # A non-magic answer needs only the rank and the magic test.
+        def fail(*args):
+            raise AssertionError("check built the kernel")
+
+        monkeypatch.setattr(gram, "_null_vectors", fail)
+        path = tmp_path / "nonmagic.txt"
+        path.write_text("[[1,2,3],[1,2,3,5,7],[4,5,6,7],[4,6]]")
+        assert main(["check", str(path), "--json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["magic"] is False and doc["gram_space_dim"] == 2
 
     def test_json_schema(self, ms3_27b_file, capsys):
         assert main(["check", ms3_27b_file, "--json"]) == 0
@@ -116,6 +128,13 @@ class TestBound:
 
     def test_bad_sign_length(self, ms3_27b_file):
         assert main(["bound", ms3_27b_file, "--signs", "01"]) == 2
+
+    def test_improper_names_its_defects(self, tmp_path, capsys):
+        path = tmp_path / "twice.txt"
+        path.write_text("[[1,2,3],[1,2,3]]")
+        assert main(["bound", str(path), "--signs", "01"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: hypergraph is not proper Eulerian: duplicate edges 1 = 2\n"
 
 
 class TestAssign:

@@ -611,8 +611,10 @@ class TestEchelonAgainstOracles:
 @pytest.mark.parametrize("name", datasets.NAMES)
 def test_valid_gram_system_rref_matches_oracle(name, monkeypatch):
     """Byte-identical RREF and kernel on every bundled valid-Gram system:
-    the equations ``gram.Echelon`` receives, the echelon ``gram._null_vectors``
-    reads and the kernel it returns, against the eliminations they replaced."""
+    the equations ``gram.Echelon`` receives, in the column-descending order
+    ``valid_gram_space`` documents, the echelon ``gram._null_vectors`` reads
+    on the first read of ``nonmagic_basis`` and the kernel it returns,
+    against the eliminations they replaced."""
     received = []
     solves = []
 
@@ -628,7 +630,9 @@ def test_valid_gram_system_rref_matches_oracle(name, monkeypatch):
     monkeypatch.setattr(gram, "Echelon", Recording)
     monkeypatch.setattr(gram, "_null_vectors", capture)
     h = datasets.load(name).hypergraph
-    gram.valid_gram_space(h)
+    space = gram.valid_gram_space(h)
+    assert not solves
+    space.nonmagic_basis
     ((ech, cols),) = solves
     system = valid_gram_system(h)
     assert tuple(received) == system.rows and cols == system.cols

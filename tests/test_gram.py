@@ -114,15 +114,26 @@ class TestValidGramSpace:
         assert valid_gram_space(entries["HC"].hypergraph).dim == 27
 
 
+def _no_kernel(*args):
+    raise AssertionError("the kernel was built")
+
+
 class TestMagicSplitAgainstOracle:
     """The split of the kernel vectors by one parity mask against
     ``conftest.matrix_split_oracle``, which builds every kernel matrix and
-    scores each with ``fast_magic_parity``."""
+    scores each with ``fast_magic_parity``.  The offset and the dimension
+    are checked before ``nonmagic_basis`` is first read, with the kernel
+    read-off patched to fail: they come from the echelon alone."""
 
     @staticmethod
     def assert_same_split(h: Hypergraph) -> BitMatrix | None:
-        space = valid_gram_space(h)
-        assert (space.magic_offset, space.nonmagic_basis, space.dim) == matrix_split_oracle(h)
+        offset, basis, dim = matrix_split_oracle(h)
+        valid_gram_space.cache_clear()  # h's space may be cached with its basis read
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gram, "_null_vectors", _no_kernel)
+            space = valid_gram_space(h)
+            assert (space.magic_offset, space.dim) == (offset, dim)
+        assert space.nonmagic_basis == basis
         return space.magic_offset
 
     @pytest.mark.parametrize("name", datasets.NAMES)
@@ -159,7 +170,30 @@ class TestMagicSplitAgainstOracle:
         monkeypatch.setattr(gram, "fast_magic_parity", fail)
         monkeypatch.setattr(BitMatrix, "__xor__", fail)
         for entry in entries.values():
-            valid_gram_space(entry.hypergraph)
+            valid_gram_space(entry.hypergraph).nonmagic_basis
+
+    def test_basis_built_once_then_system_released(self, entries, monkeypatch):
+        calls = []
+
+        def counting(ech, cols):
+            calls.append(cols)
+            return _null_vectors(ech, cols)
+
+        monkeypatch.setattr(gram, "_null_vectors", counting)
+        space = valid_gram_space(entries["HD"].hypergraph)
+        assert space._system is not None and not calls
+        assert space.nonmagic_basis is space.nonmagic_basis
+        assert len(calls) == 1 and space._system is None
+
+    def test_equality_reads_the_split_not_the_system(self, entries):
+        h = entries["MS3-27b"].hypergraph
+        space = valid_gram_space(h)
+        valid_gram_space.cache_clear()
+        fresh = valid_gram_space(h)
+        space.nonmagic_basis  # releases space's system; fresh keeps its own
+        assert fresh._system is not None
+        assert space == fresh and hash(space) == hash(fresh)
+        assert space != valid_gram_space(entries["HD"].hypergraph)
 
     def test_basis_is_derived(self, square):
         space = valid_gram_space(square.hypergraph)
@@ -561,13 +595,22 @@ class TestValidateGramAgainstEntryLoop:
 
 def test_one_solve_per_hypergraph(entries, monkeypatch):
     """valid_gram_space, min_qubits, is_minimal and hypergraph_bound on one
-    hypergraph share a single solve of the valid-Gram system."""
+    hypergraph share a single elimination of the valid-Gram system and a
+    single kernel read-off.  (MS3-27b's magic space is small enough for
+    ``is_minimal`` to scan it, so it builds no defect echelons.)"""
     solves = []
+    echelons = []
+
+    class Counting(gram.Echelon):
+        def __init__(self, rows=()):
+            echelons.append(self)
+            super().__init__(rows)
 
     def counting(ech, cols):
         solves.append(cols)
         return _null_vectors(ech, cols)
 
+    monkeypatch.setattr(gram, "Echelon", Counting)
     monkeypatch.setattr(gram, "_null_vectors", counting)
     h = entries["MS3-27b"].hypergraph
     space = valid_gram_space(h)
@@ -575,4 +618,5 @@ def test_one_solve_per_hypergraph(entries, monkeypatch):
     is_minimal(h)
     bound.hypergraph_bound(h)
     assert valid_gram_space(h) is space
+    assert len(echelons) == 1
     assert len(solves) == 1

@@ -90,6 +90,14 @@ class TestProperEulerian:
         ok, diag = is_proper_eulerian(h)
         assert not ok and diag.edges_with_repeats == (1,)
 
+    def test_describe_names_only_the_defects(self):
+        _, diag = is_proper_eulerian(Hypergraph(6, ((1, 2), (1, 2), (), (3, 3, 4), (1, 2), (4, 5))))
+        assert diag.describe() == (
+            "isolated vertices 6; odd-degree vertices 1, 2, 5; empty edges 3; "
+            "duplicate edges 1 = 2 = 5; edges with repeated vertices 4"
+        )
+        assert is_proper_eulerian(parse_edge_list("[[1,2,3]]"))[1].describe() == "odd-degree vertices 1, 2, 3"
+
     def test_degree_sum_matches_sizes(self, entries):
         for entry in entries.values():
             h = entry.hypergraph

@@ -6,8 +6,9 @@ import random
 import networkx as nx
 import pytest
 
-from magicsets.hypergraph import Hypergraph
-from magicsets.planarity import NotASimpleGraphError, is_planar_via_gram
+from magicsets import gram
+from magicsets.hypergraph import Hypergraph, dual, is_proper_eulerian
+from magicsets.planarity import NotASimpleGraphError, _prune_low_degree, is_planar_via_gram
 
 
 def graph_from_nx(g: nx.Graph) -> Hypergraph:
@@ -97,3 +98,49 @@ class TestOracleAgreement:
                 break
             edges.add(rng.choice(free))
             assert not is_planar_via_gram(Hypergraph(6, tuple(sorted(edges)))).planar
+
+
+def seeded_graphs(seed: int) -> list[nx.Graph]:
+    """One graph per (n, p), n 8-22, p 0.15-0.3, with round(p * C(n, 2))
+    edges: the sizes of the planarity benchmark's graphs."""
+    rng = random.Random(seed)
+    graphs = []
+    for n in range(8, 23):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for p in (0.15, 0.2, 0.25, 0.3):
+            g = nx.Graph(rng.sample(pairs, round(p * len(pairs))))
+            g.add_nodes_from(range(1, n + 1))
+            graphs.append(g)
+    return graphs
+
+
+def test_pruned_duals_are_proper_eulerian():
+    """The precondition ``valid_gram_space`` checks holds for every input
+    ``is_planar_via_gram`` hands it: the dual of a simple graph pruned of
+    its degree-0/1 vertices."""
+    graphs = [g for g in nx.graph_atlas_g()[1:] if g.number_of_edges()] + seeded_graphs(29)
+    for g in graphs:
+        core, _ = _prune_low_degree(graph_from_nx(g))
+        if core.num_edges:
+            assert is_proper_eulerian(dual(core))[0]
+
+
+def test_decided_without_the_kernel(monkeypatch):
+    """Planarity reads only the magic offset, which comes off the echelon;
+    the kernel read-off is never called."""
+
+    def fail(*args):
+        raise AssertionError("planarity built the kernel")
+
+    monkeypatch.setattr(gram, "_null_vectors", fail)
+    k33 = graph_from_nx(nx.complete_bipartite_graph(3, 3))
+    assert not is_planar_via_gram(complete_graph(5)).planar
+    assert not is_planar_via_gram(k33).planar
+    assert is_planar_via_gram(complete_graph(4)).planar
+    outcomes = []
+    for g in seeded_graphs(31):
+        result = is_planar_via_gram(graph_from_nx(g))
+        assert result.planar == nx.check_planarity(g)[0]
+        assert result.planar or gram.is_magic_gram(dual(_prune_low_degree(graph_from_nx(g))[0]), result.certificate)
+        outcomes.append(result.planar)
+    assert any(outcomes) and not all(outcomes)
