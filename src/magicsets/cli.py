@@ -2,19 +2,24 @@
 verify-dataset.
 
 Exit codes: 0 success, 1 property failure (e.g. the structure is not
-magic, or a dataset expectation does not hold), 2 input error.  ``--json``
-switches every subcommand to a machine-readable report with a schema tag.
+magic, or a dataset expectation does not hold), 2 input error.  A command
+returns 0 or 1; ``main`` is the one place an exception becomes an exit
+code: the property errors of ``gram`` give 1, and every other
+``ValueError`` (``InputError`` and the library's malformed-input errors
+alike) gives 2.  ``--json`` switches every subcommand to a machine-readable
+report with a schema tag.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 from . import datasets
-from .assign import RankObstructionError, assignment_from_gram
+from .assign import assignment_from_gram
 from .bound import (
     brute_force_bound,
     format_epsilon,
@@ -29,22 +34,11 @@ from .gram import (
     min_qubits,
     valid_gram_space,
 )
-from .hypergraph import (
-    EdgeListParseError,
-    Hypergraph,
-    degree_profile,
-    is_proper_eulerian,
-    parse_edge_list,
-)
-from .orbits import OrbitCapError, PermutationGroup, candidate_hypergraphs, subset_orbits
+from .hypergraph import Hypergraph, degree_profile, is_proper_eulerian, parse_edge_list
+from .orbits import PermutationGroup, candidate_hypergraphs, subset_orbits
 from .pauli import MAX_QUBITS, MagicAssignment, verify_assignment
-from .planarity import NotASimpleGraphError, is_planar_via_gram
-from .reduce import (
-    RecipeError,
-    ReductionRecipe,
-    apply_recipe,
-    find_minimal_descendants,
-)
+from .planarity import is_planar_via_gram
+from .reduce import ReductionRecipe, apply_recipe, find_minimal_descendants
 
 SCHEMA = 1
 
@@ -53,7 +47,7 @@ EXIT_PROPERTY = 1
 EXIT_INPUT = 2
 
 
-class InputError(Exception):
+class InputError(ValueError):
     pass
 
 
@@ -76,7 +70,7 @@ def load_hypergraph(path: str) -> Hypergraph:
                 doc = doc["hypergraph"]
             return Hypergraph.from_json_dict(doc)
         return parse_edge_list(text)
-    except (EdgeListParseError, ValueError, KeyError, json.JSONDecodeError) as err:
+    except (ValueError, KeyError) as err:
         raise InputError(f"cannot parse hypergraph from {path}: {err}") from err
 
 
@@ -98,13 +92,8 @@ def cmd_check(args) -> int:
     doc["observables_profile"] = prof.render_vertices()
     doc["contexts_profile"] = prof.render_edges()
     if not ok:
-        doc["diagnostics"] = {
-            "isolated_vertices": list(diag.isolated_vertices),
-            "odd_degree_vertices": list(diag.odd_degree_vertices),
-            "empty_edges": list(diag.empty_edges),
-            "duplicate_edges": [list(g) for g in diag.duplicate_edges],
-            "edges_with_repeats": list(diag.edges_with_repeats),
-        }
+        doc["diagnostics"] = dataclasses.asdict(diag)
+        del doc["diagnostics"]["degrees"]
         lines.append("not proper Eulerian; no magic assignment can exist")
         _emit(doc, args.json, lines)
         return EXIT_PROPERTY
@@ -122,7 +111,8 @@ def cmd_check(args) -> int:
     doc["minimal"] = is_minimal(h)
     lines.append(
         f"magic; minimum qubits {res.qubits}"
-        + ("" if res.exact else " (upper bound, enumeration capped)")
+        + ("" if res.exact else f" (upper bound: magic space dimension {space.dim - 1} "
+                                f"is over --enumeration-cap {args.enumeration_cap})")
         + ("; minimal" if doc["minimal"] else "; reducible")
     )
     if args.dump_gram:
@@ -144,10 +134,7 @@ def cmd_assign(args) -> int:
     # Synthesize from a minimum-rank magic matrix so any k at or above the
     # instance minimum works.
     witness = min_qubits(h, enumeration_cap=args.enumeration_cap)
-    try:
-        assignment = assignment_from_gram(h, witness.gram, args.qubits)
-    except RankObstructionError as err:
-        raise InputError(str(err)) from err
+    assignment = assignment_from_gram(h, witness.gram, args.qubits)
     report = verify_assignment(h, assignment)
     mapping = assignment.to_mapping()
     if args.output:
@@ -245,10 +232,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_planarity(args) -> int:
     g = load_hypergraph(args.file)
-    try:
-        result = is_planar_via_gram(g)
-    except NotASimpleGraphError as err:
-        raise InputError(str(err)) from err
+    result = is_planar_via_gram(g)
     doc = {
         "file": args.file,
         "planar": result.planar,
@@ -263,11 +247,8 @@ def cmd_planarity(args) -> int:
 
 def cmd_orbits(args) -> int:
     group = PermutationGroup.from_json(_read_text(args.file))
-    try:
-        orbits = subset_orbits(group, args.size)
-        candidates = candidate_hypergraphs(group, args.size)
-    except OrbitCapError as err:
-        raise InputError(str(err)) from err
+    orbits = subset_orbits(group, args.size)
+    candidates = candidate_hypergraphs(group, args.size)
     doc = {
         "degree": group.degree,
         "size": args.size,
@@ -363,24 +344,27 @@ def build_parser() -> argparse.ArgumentParser:
         "for measurement hypergraphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("check", help="proper-Eulerian check, magic decision, minimum qubits")
+    def command(name: str, func, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=[common], help=help)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("check", cmd_check, "proper-Eulerian check, magic decision, minimum qubits")
     p.add_argument("file")
     p.add_argument("--enumeration-cap", type=int, default=24)
     p.add_argument("--dump-gram", action="store_true",
                    help="include a minimum-rank magic Gram matrix as 0/1 rows")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("assign", help="synthesize a k-qubit magic assignment")
+    p = command("assign", cmd_assign, "synthesize a k-qubit magic assignment")
     p.add_argument("file")
     p.add_argument("--qubits", type=int, required=True)
     p.add_argument("--output", help="write the assignment JSON here")
     p.add_argument("--enumeration-cap", type=int, default=24)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_assign)
 
-    p = sub.add_parser("bound", help="noncontextual bound for a sign pattern")
+    p = command("bound", cmd_bound, "noncontextual bound for a sign pattern")
     p.add_argument("file")
     p.add_argument("--signs", help="bit string over contexts, e.g. 000001")
     p.add_argument("--assignment", help="assignment JSON file supplying the signs")
@@ -391,32 +375,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--brute-force", action="store_true",
                    help="also run the 2^m oracle and cross-check")
     p.add_argument("--decimals", type=int, default=2)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_bound)
 
-    p = sub.add_parser("reduce", help="apply a recipe or search for minimal descendants")
+    p = command("reduce", cmd_reduce, "apply a recipe or search for minimal descendants")
     p.add_argument("file")
     p.add_argument("--recipe", help="recipe JSON file")
     p.add_argument("--search", action="store_true")
     p.add_argument("--max-nodes", type=int, default=10_000)
     p.add_argument("--max-seconds", type=float, default=3600.0)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("planarity", help="planarity via the dual's Gram space")
+    p = command("planarity", cmd_planarity, "planarity via the dual's Gram space")
     p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_planarity)
 
-    p = sub.add_parser("orbits", help="orbits of a permutation group on s-subsets")
+    p = command("orbits", cmd_orbits, "orbits of a permutation group on s-subsets")
     p.add_argument("file", help="JSON with degree and generator image lists")
     p.add_argument("--size", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_orbits)
 
-    p = sub.add_parser("verify-dataset", help="re-derive every bundled published metric")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_verify_dataset)
+    command("verify-dataset", cmd_verify_dataset, "re-derive every bundled published metric")
 
     return parser
 
@@ -426,14 +400,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
     except (NotProperEulerianError, NoMagicGramError) as err:
         # The input parsed fine; the structure just lacks the property.
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PROPERTY
-    except (RecipeError, NotASimpleGraphError, ValueError) as err:
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
 

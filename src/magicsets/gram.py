@@ -237,7 +237,7 @@ def _matrix_from_pair_bits(m: int, pairs: list[tuple[int, int]], bits: int) -> B
     return BitMatrix(m, tuple(rows))
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=1)
 def valid_gram_space(h: Hypergraph) -> GramSpace:
     """Solve the validity conditions for the magic split of the valid Gram space.
 
@@ -255,8 +255,12 @@ def valid_gram_space(h: Hypergraph) -> GramSpace:
     order: x starts as bit f0, and pivot p joins x when its row has an
     odd number of bits in x above p.  That is the first odd vector
     ``_null_vectors`` would give.  The rest of the kernel waits for the
-    first read of ``GramSpace.nonmagic_basis``.  Cached per hypergraph, so
-    its callers share a single solve.
+    first read of ``GramSpace.nonmagic_basis``.  Only the last hypergraph's
+    space is cached: every reuse in the library is consecutive calls on one
+    hypergraph (``check`` and the catalog run ``min_qubits``, ``is_minimal``
+    and ``hypergraph_bound`` on the same one), and a space whose basis is
+    never read keeps its whole solved system, so more slots would only hold
+    unread echelons.
     """
     ok, diag = is_proper_eulerian(h)
     if not ok:

@@ -93,6 +93,8 @@ class Hypergraph:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Hypergraph":
+        if not isinstance(doc, dict):
+            raise ValueError(f"a hypergraph document must be a JSON object, got {doc!r}")
         return cls.from_edges(
             doc["edges"],
             vertex_count=doc.get("vertices"),

@@ -14,7 +14,7 @@ from itertools import combinations
 from math import comb
 from typing import Callable, Hashable, Iterable, Sequence
 
-from .hypergraph import Hypergraph, is_proper_eulerian
+from .hypergraph import Hypergraph, _integer, is_proper_eulerian
 
 #: Refuse to materialize more s-subsets than this.
 DEFAULT_SUBSET_CAP = 2_000_000
@@ -42,8 +42,18 @@ class PermutationGroup:
 
     @classmethod
     def from_json(cls, text: str) -> "PermutationGroup":
+        """Read {"degree": n, "generators": [[images of 1..n], ...]};
+        ValueError when the document has another shape."""
         doc = json.loads(text)
-        return cls.from_images(doc["degree"], doc["generators"])
+        if not isinstance(doc, dict) or not {"degree", "generators"} <= doc.keys():
+            raise ValueError('a permutation group document needs "degree" and "generators"')
+        gens = doc["generators"]
+        if not isinstance(gens, list) or not all(isinstance(g, list) for g in gens):
+            raise ValueError(f"generators must be a list of image lists, got {gens!r}")
+        return cls.from_images(
+            _integer(doc["degree"], "degree"),
+            [[_integer(v, "generator image") for v in g] for g in gens],
+        )
 
     def to_json(self) -> str:
         return json.dumps({"degree": self.degree, "generators": [list(g) for g in self.generators]})

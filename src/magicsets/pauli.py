@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .gf2 import BitVector
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, _integer
 
 #: Largest qubit count accepted by encode(); every bundled instance needs <= 6.
 MAX_QUBITS = 32
@@ -180,10 +180,15 @@ class MagicAssignment:
     @classmethod
     def from_mapping(cls, h: Hypergraph, mapping: Mapping[int, str] | Mapping[str, str]) -> "MagicAssignment":
         """Build from {vertex index: letter string}, indices 1-based (int or str)."""
+        if not isinstance(mapping, Mapping):
+            raise ValueError(f"an assignment must map vertex indices to Pauli strings, got {mapping!r}")
         by_index = {int(k): v for k, v in mapping.items()}
         missing = [v for v in range(1, h.vertex_count + 1) if v not in by_index]
         if missing:
             raise ValueError(f"assignment missing vertices {missing}")
+        for v, letters in by_index.items():
+            if not isinstance(letters, str):
+                raise ValueError(f"vertex {v} must be assigned a Pauli string, got {letters!r}")
         return cls.build(h, [encode(by_index[v]) for v in range(1, h.vertex_count + 1)])
 
     def to_mapping(self) -> dict[str, str]:

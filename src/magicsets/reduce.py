@@ -35,7 +35,7 @@ from .gram import (
     valid_gram_space,
     validate_gram,
 )
-from .hypergraph import Hypergraph, is_proper_eulerian
+from .hypergraph import Hypergraph, _integer, is_proper_eulerian
 from .orbits import orbit
 
 
@@ -67,7 +67,20 @@ class ReductionRecipe:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ReductionRecipe":
-        return cls.build(doc.get("delete", []), {int(k): v for k, v in doc.get("identify", {}).items()})
+        """Read {"delete": [...], "identify": {"new id": [...], ...}}, both
+        keys optional; RecipeError when the document has another shape."""
+        if not isinstance(doc, dict):
+            raise RecipeError(f"a recipe must be a JSON object, got {doc!r}")
+        deleted = doc.get("delete", [])
+        identify = doc.get("identify", {})
+        if not isinstance(deleted, list):
+            raise RecipeError(f'"delete" must be a list of vertices, got {deleted!r}')
+        if not isinstance(identify, dict) or not all(isinstance(vs, list) for vs in identify.values()):
+            raise RecipeError(f'"identify" must map new vertex ids to vertex lists, got {identify!r}')
+        return cls.build(
+            [_integer(v, "deleted vertex") for v in deleted],
+            {int(k): [_integer(v, "preimage vertex") for v in vs] for k, vs in identify.items()},
+        )
 
 
 @dataclass(frozen=True)

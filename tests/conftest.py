@@ -16,7 +16,7 @@ from magicsets.reduce import reduce_with
 
 @pytest.fixture(autouse=True)
 def fresh_gram_space_cache():
-    """Empty the per-hypergraph cache of ``valid_gram_space`` before each
+    """Empty the one-entry cache of ``valid_gram_space`` before each
     test, so a test that patches the solve behind it sees its patch used."""
     gram.valid_gram_space.cache_clear()
 

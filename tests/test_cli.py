@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import argparse
 import json
 
 import pytest
 
 from magicsets import datasets, gram
-from magicsets.cli import main
+from magicsets.cli import build_parser, main
 
 
 @pytest.fixture()
@@ -24,6 +25,63 @@ def ms5_26_files(tmp_path):
     apath = tmp_path / "ms5_26_assign.json"
     apath.write_text(json.dumps(entry.assignment.to_mapping()))
     return str(hpath), str(apath)
+
+
+@pytest.fixture()
+def square_file(tmp_path):
+    path = tmp_path / "square.json"
+    path.write_text(datasets.load("square").hypergraph.to_json())
+    return str(path)
+
+
+# Malformed recipe, assignment and generator documents, each with the
+# subcommand and option that reads it.
+MALFORMED_DOCUMENTS = [
+    (["reduce", "--recipe"], {"identify": {"1": 5}}),
+    (["reduce", "--recipe"], {"delete": [1], "identify": 7}),
+    (["reduce", "--recipe"], [1, 2]),
+    (["bound", "--assignment"], [1, 2]),
+    (["bound", "--assignment"], {str(v): 5 for v in range(1, 10)}),
+    (["orbits"], {"gens": []}),
+    (["orbits"], {"degree": 4}),
+    (["orbits"], {"degree": 3, "generators": 5}),
+    (["orbits"], {"degree": "x", "generators": [[1, 2, 3]]}),
+    (["orbits"], {"degree": 3, "generators": [[1, "a", 3]]}),
+]
+
+
+@pytest.mark.parametrize(
+    "reader, doc", MALFORMED_DOCUMENTS,
+    ids=[f"{reader[0]}{i}" for i, (reader, _) in enumerate(MALFORMED_DOCUMENTS)],
+)
+def test_malformed_documents_are_input_errors(square_file, tmp_path, capsys, reader, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    if reader[0] == "orbits":
+        argv = ["orbits", str(path), "--size", "2"]
+    else:
+        argv = [reader[0], square_file, reader[1], str(path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_every_subcommand_takes_json():
+    required = {
+        "check": ["f"],
+        "assign": ["f", "--qubits", "2"],
+        "bound": ["f"],
+        "reduce": ["f"],
+        "planarity": ["f"],
+        "orbits": ["f", "--size", "2"],
+        "verify-dataset": [],
+    }
+    parser = build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(required)
+    for name, argv in required.items():
+        assert parser.parse_args([name, *argv]).json is False
+        assert parser.parse_args([name, *argv, "--json"]).json is True
 
 
 class TestCheck:
@@ -77,6 +135,21 @@ class TestCheck:
         path.write_text(json.dumps(doc))
         assert main(["check", str(path)]) == 2
         assert "must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [{"hypergraph": 5}, {"hypergraph": [[1, 2]]}])
+    def test_non_object_hypergraph_is_input_error(self, tmp_path, capsys, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", str(path)]) == 2
+        assert "a hypergraph document must be a JSON object" in capsys.readouterr().err
+
+    def test_inexact_names_its_cap(self, tmp_path, capsys):
+        path = tmp_path / "ha.json"
+        path.write_text(datasets.load("HA").hypergraph.to_json())
+        assert main(["check", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert ("magic; minimum qubits 3 (upper bound: magic space dimension 30 "
+                "is over --enumeration-cap 24); reducible\n") in out
 
     @pytest.mark.parametrize("labels", [5, "abcdefghi", list(range(9))])
     def test_malformed_labels_are_input_errors(self, tmp_path, capsys, labels):
@@ -146,8 +219,9 @@ class TestAssign:
         out = capsys.readouterr().out
         assert "magic=True" in out
 
-    def test_rank_obstruction_is_input_error(self, ms3_27b_file):
+    def test_rank_obstruction_is_input_error(self, ms3_27b_file, capsys):
         assert main(["assign", ms3_27b_file, "--qubits", "1"]) == 2
+        assert capsys.readouterr().err == "error: rank 6 needs at least 3 qubits, got 1\n"
 
     def test_qubits_past_pauli_limit_is_input_error(self, ms3_27b_file, tmp_path, capsys):
         # An assignment file of 33-qubit strings could not be read back by ``bound``.
@@ -209,8 +283,9 @@ class TestPlanarity:
         assert main(["planarity", str(path)]) == 0
         assert "nonplanar" not in capsys.readouterr().out
 
-    def test_hyperedge_input_error(self, ms3_27b_file):
+    def test_hyperedge_input_error(self, ms3_27b_file, capsys):
         assert main(["planarity", ms3_27b_file]) == 2
+        assert capsys.readouterr().err == "error: edge 1 has size 4, expected 2\n"
 
 
 class TestOrbits:
@@ -220,6 +295,13 @@ class TestOrbits:
         assert main(["orbits", str(path), "--size", "2", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert sorted(doc["orbit_sizes"]) == [2, 4]
+
+    def test_past_subset_cap_is_input_error(self, tmp_path, capsys):
+        # C(27, 8) = 2 220 075 subsets, over the default cap of 2 000 000.
+        path = tmp_path / "c27.json"
+        path.write_text(json.dumps({"degree": 27, "generators": [list(range(2, 28)) + [1]]}))
+        assert main(["orbits", str(path), "--size", "8"]) == 2
+        assert capsys.readouterr().err == "error: 2220075 subsets of size 8 exceed the cap 2000000\n"
 
 
 class TestVerifyDataset:

@@ -620,3 +620,15 @@ def test_one_solve_per_hypergraph(entries, monkeypatch):
     assert valid_gram_space(h) is space
     assert len(echelons) == 1
     assert len(solves) == 1
+
+
+def test_cache_keeps_the_last_hypergraph(entries):
+    """Callers reuse a space only on consecutive calls, so one slot holds
+    every hit and no more than one unread solved system."""
+    square, pentagram = entries["square"].hypergraph, entries["pentagram"].hypergraph
+    valid_gram_space(square)
+    space = valid_gram_space(pentagram)
+    info = valid_gram_space.cache_info()
+    assert info.maxsize == 1 and info.currsize == 1
+    assert valid_gram_space(pentagram) is space
+    assert valid_gram_space.cache_info().hits == info.hits + 1
