@@ -74,6 +74,17 @@ def load_hypergraph(path: str) -> Hypergraph:
         raise InputError(f"cannot parse hypergraph from {path}: {err}") from err
 
 
+def _cap(text: str) -> int:
+    """An --enumeration-cap value: an integer of at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _emit(doc: dict, as_json: bool, lines: list[str]) -> None:
     if as_json:
         print(json.dumps({"schema": SCHEMA, **doc}, indent=1))
@@ -138,7 +149,10 @@ def cmd_assign(args) -> int:
     report = verify_assignment(h, assignment)
     mapping = assignment.to_mapping()
     if args.output:
-        Path(args.output).write_text(json.dumps(mapping, indent=1) + "\n")
+        try:
+            Path(args.output).write_text(json.dumps(mapping, indent=1) + "\n")
+        except OSError as err:
+            raise InputError(f"cannot write {args.output}: {err}") from err
     doc = {
         "file": args.file,
         "qubits": args.qubits,
@@ -354,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("check", cmd_check, "proper-Eulerian check, magic decision, minimum qubits")
     p.add_argument("file")
-    p.add_argument("--enumeration-cap", type=int, default=24)
+    p.add_argument("--enumeration-cap", type=_cap, default=24)
     p.add_argument("--dump-gram", action="store_true",
                    help="include a minimum-rank magic Gram matrix as 0/1 rows")
 
@@ -362,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--qubits", type=int, required=True)
     p.add_argument("--output", help="write the assignment JSON here")
-    p.add_argument("--enumeration-cap", type=int, default=24)
+    p.add_argument("--enumeration-cap", type=_cap, default=24)
 
     p = command("bound", cmd_bound, "noncontextual bound for a sign pattern")
     p.add_argument("file")

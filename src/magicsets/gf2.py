@@ -239,6 +239,14 @@ class Echelon:
 def _top_basis(rows: Iterable[int]) -> dict[int, int]:
     """An echelon basis of the span of rows, keyed by each row's highest set bit."""
     basis: dict[int, int] = {}
+    for _ in _top_insert(basis, rows):
+        pass
+    return basis
+
+
+def _top_insert(basis: dict[int, int], rows: Iterable[int]) -> Iterator[bool]:
+    """Insert rows into ``basis`` (a ``_top_basis``) one at a time; per row,
+    True iff it is independent of the rows before it."""
     for row in rows:
         while row:
             hb = row.bit_length() - 1
@@ -247,7 +255,7 @@ def _top_basis(rows: Iterable[int]) -> dict[int, int]:
                 basis[hb] = row
                 break
             row ^= other
-    return basis
+        yield bool(row)
 
 
 def _rank_rows(rows: Iterable[int]) -> int:

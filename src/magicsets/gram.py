@@ -24,7 +24,9 @@ from .gf2 import (
     _block_low,
     _block_ranks,
     _null_vectors,
+    _rank_rows,
     _span_blocks,
+    _top_insert,
 )
 from .hypergraph import Hypergraph, is_proper_eulerian
 
@@ -243,14 +245,20 @@ def valid_gram_space(h: Hypergraph) -> GramSpace:
 
     Unknowns are the entries on pairs (i, j), i < j, sharing no context,
     by i then j; each context gives one row-sum equation per vertex
-    column.  The equations stream into one ``Echelon`` column by column,
+    column.  An equation is linear in its context's vertex mask, so a
+    context whose mask is a GF(2) sum of earlier contexts' masks adds only
+    sums of their equations: it is skipped, the contexts kept being those
+    that ``gf2._top_insert`` finds independent of the ones before them.
+    The kept equations stream into one ``Echelon`` column by column,
     highest column first, each column's contexts in stored order, empty
-    equations skipped.  The magic parity is linear in the unknowns (pair
-    (i, j) counts when bit i of ``_inversion_masks`` row j is set), so
-    the space is magic iff that parity mask lies outside the equations'
-    row space.  Its reduction w by the echelon decides it without the
-    kernel: bit f of w is the parity of the kernel vector of free column
-    f.  The offset is the kernel vector of the lowest set bit f0 of w,
+    equations skipped.  They span the row space of the whole system, and
+    everything below is read off that span, so the split does not depend
+    on which equations were skipped.  The magic parity is linear in the
+    unknowns (pair (i, j) counts when bit i of ``_inversion_masks`` row j
+    is set), so the space is magic iff that parity mask lies outside the
+    equations' row space.  Its reduction w by the echelon decides it
+    without the kernel: bit f of w is the parity of the kernel vector of
+    free column f.  The offset is the kernel vector of the lowest set bit f0 of w,
     found by back-substitution over the stored rows in descending pivot
     order: x starts as bit f0, and pivot p joins x when its row has an
     odd number of bits in x above p.  That is the first odd vector
@@ -281,6 +289,8 @@ def valid_gram_space(h: Hypergraph) -> GramSpace:
                     parity |= 1 << t
                 pairs.append((i, j))
 
+    independent = _top_insert({}, (sum(1 << v for v in context) for context in members))
+    members = [context for context, new in zip(members, independent) if new]
     ech = Echelon()
     for j in reversed(range(m)):
         row = index[j]
@@ -363,16 +373,21 @@ def min_qubits(h: Hypergraph, enumeration_cap: int = 24) -> MinQubitsResult:
     ``enumeration_cap``; beyond that, the best upper bound over sampled
     combinations of basis elements is returned with exact=False.
 
-    The exact scan ranks all 2^d matrices offset + span(nonmagic_basis)
+    The offset's own rank bounds the minimum from above.  A space of one
+    matrix (d = 0) is its offset, so that rank is the answer.  Otherwise
+    the exact scan ranks all 2^d matrices offset + span(nonmagic_basis)
     with ``gf2._block_ranks``, one ``gf2._block_low`` block at a time (2^14
     matrices, fewer for wide matrices), dropping every matrix ranked above
-    the least rank of the blocks before.  The witness is, among the
+    the offset's rank in the first block and above the least rank of the
+    blocks before in the rest.  The offset is the scan's first matrix, so
+    no matrix of least rank is dropped.  The witness is, among the
     matrices of least rank, the one with the least Gray index: Gray step s
     visits coefficient vector s ^ (s >> 1), one basis flip per step from
     the offset at s = 0, and the first matrix of least rank on that walk
     is the witness.  The sampled branch ranks its candidate list, the
     offset, then its single and pair basis shifts, in blocks of the same
-    size, and its witness is the first of least rank in that list.
+    size under the same bounds, and its witness is the first of least rank
+    in that list.
     """
     space = _magic_space(h)
     offset = space.magic_offset
@@ -382,11 +397,15 @@ def min_qubits(h: Hypergraph, enumeration_cap: int = 24) -> MinQubitsResult:
     width = (m + 63) // 64
     low = _block_low(m * width)
 
+    offset_rank = _rank_rows(offset.rows)
+
     if d <= enumeration_cap:
+        if not d:
+            return MinQubitsResult(offset_rank // 2, True, offset, 1, 1)
         basis = [_words(b, width) for b in space.nonmagic_basis]
         best = None  # (rank, Gray index, words)
         for number, block in enumerate(_span_blocks(_words(offset, width), basis, low)):
-            bound = None if best is None else best[0]
+            bound = offset_rank if best is None else best[0]
             ranks, index = _block_ranks(block.reshape(-1, m, width), bound)
             if not len(ranks):
                 continue
@@ -411,7 +430,8 @@ def min_qubits(h: Hypergraph, enumeration_cap: int = 24) -> MinQubitsResult:
     for start in range(0, len(first), 1 << low):
         stop = start + (1 << low)
         block = off ^ vecs[first[start:stop]] ^ vecs[second[start:stop]]
-        ranks, index = _block_ranks(block.reshape(-1, m, width), None if best is None else best[0])
+        bound = offset_rank if best is None else best[0]
+        ranks, index = _block_ranks(block.reshape(-1, m, width), bound)
         if len(ranks) and (best is None or ranks.min() < best[0]):
             k = int(np.argmin(ranks))
             best = (int(ranks[k]), block[index[k]])

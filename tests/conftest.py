@@ -117,17 +117,27 @@ def pair_variables(h: Hypergraph) -> list[tuple[int, int]]:
     return [(i, j) for i in range(m) for j in range(i + 1, m) if (i, j) not in forbidden]
 
 
-def valid_gram_system(h: Hypergraph) -> BitMatrix:
+def independent_contexts(h: Hypergraph) -> list[int]:
+    """Indices of the contexts whose vertex mask is not a GF(2) sum of the
+    masks of the contexts before them, each decided by comparing the ranks
+    of the two prefixes, every rank from scratch."""
+    masks = [sum(1 << (v - 1) for v in set(e)) for e in h.edges]
+    return [k for k in range(len(masks)) if Echelon(masks[: k + 1]).rank > Echelon(masks[:k]).rank]
+
+
+def valid_gram_system(h: Hypergraph, contexts: list[int] | None = None) -> BitMatrix:
     """The valid-Gram equations over the ``pair_variables`` unknowns, one
-    per vertex column and context, empty ones dropped: the system the
+    per vertex column and context (every context, or the indices
+    ``contexts``), empty ones dropped: with every context, the system the
     library stored whole before it streamed the equations into one
     echelon.  Rows come in the order ``valid_gram_space`` streams them:
     columns from the highest down, each column's contexts in stored order."""
     m = h.vertex_count
     var_index = {p: t for t, p in enumerate(pair_variables(h))}
+    edges = h.edges if contexts is None else [h.edges[k] for k in contexts]
     equations = []
     for j in reversed(range(m)):
-        for e in h.edges:
+        for e in edges:
             members = sorted(set(v - 1 for v in e))
             eq = 0
             for i in members:

@@ -151,6 +151,17 @@ class TestCheck:
         assert ("magic; minimum qubits 3 (upper bound: magic space dimension 30 "
                 "is over --enumeration-cap 24); reducible\n") in out
 
+    @pytest.mark.parametrize("command", [["check"], ["assign", "--qubits", "2"]])
+    def test_negative_enumeration_cap_is_refused(self, square_file, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command[0], square_file, *command[1:], "--enumeration-cap", "-5"])
+        assert exc.value.code == 2
+        assert "--enumeration-cap: must be at least 0, got -5" in capsys.readouterr().err
+
+    def test_zero_enumeration_cap_is_exact_on_one_matrix(self, square_file, capsys):
+        assert main(["check", square_file, "--enumeration-cap", "0"]) == 0
+        assert "magic; minimum qubits 2; minimal\n" in capsys.readouterr().out
+
     @pytest.mark.parametrize("labels", [5, "abcdefghi", list(range(9))])
     def test_malformed_labels_are_input_errors(self, tmp_path, capsys, labels):
         doc = datasets.load("square").hypergraph.to_json_dict()
@@ -218,6 +229,12 @@ class TestAssign:
         assert len(mapping) == 27
         out = capsys.readouterr().out
         assert "magic=True" in out
+
+    def test_unwritable_output_is_input_error(self, ms3_27b_file, tmp_path, capsys):
+        out_path = tmp_path / "missing" / "assignment.json"
+        assert main(["assign", ms3_27b_file, "--qubits", "3", "--output", str(out_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out_path}: ") and err.count("\n") == 1
 
     def test_rank_obstruction_is_input_error(self, ms3_27b_file, capsys):
         assert main(["assign", ms3_27b_file, "--qubits", "1"]) == 2

@@ -30,10 +30,16 @@ from magicsets.gf2 import (
     _rank_rows,
     _row_combinations,
     _span_blocks,
+    _top_insert,
 )
 from magicsets.gram import _reducible_by_scan, _reducible_by_solves
 
-from conftest import bfs_syndrome_weights, row_form_solutions, valid_gram_system
+from conftest import (
+    bfs_syndrome_weights,
+    independent_contexts,
+    row_form_solutions,
+    valid_gram_system,
+)
 from conftest import solve_affine as row_form_solve_affine
 
 
@@ -552,6 +558,12 @@ class TestEchelonAgainstOracles:
         assert grew == [len(_echelon(rows[: i + 1])) > len(_echelon(rows[:i])) for i in range(len(rows))]
         assert ech.rank == rank(BitMatrix(width, tuple(rows))) == len(_echelon(rows))
 
+    @given(row_systems())
+    def test_top_insert_flags_independent_rows(self, system):
+        _, rows = system
+        grew = list(_top_insert({}, rows))
+        assert grew == [len(_echelon(rows[: i + 1])) > len(_echelon(rows[:i])) for i in range(len(rows))]
+
     @given(row_systems(), st.data())
     def test_coset_reduction(self, system, data):
         width, rows = system
@@ -611,10 +623,11 @@ class TestEchelonAgainstOracles:
 @pytest.mark.parametrize("name", datasets.NAMES)
 def test_valid_gram_system_rref_matches_oracle(name, monkeypatch):
     """Byte-identical RREF and kernel on every bundled valid-Gram system:
-    the equations ``gram.Echelon`` receives, in the column-descending order
-    ``valid_gram_space`` documents, the echelon ``gram._null_vectors`` reads
-    on the first read of ``nonmagic_basis`` and the kernel it returns,
-    against the eliminations they replaced."""
+    the equations ``gram.Echelon`` receives, those of the independent
+    contexts only, in the column-descending order ``valid_gram_space``
+    documents, the echelon ``gram._null_vectors`` reads on the first read
+    of ``nonmagic_basis`` and the kernel it returns, against the
+    eliminations of the whole system they replaced."""
     received = []
     solves = []
 
@@ -635,7 +648,8 @@ def test_valid_gram_system_rref_matches_oracle(name, monkeypatch):
     space.nonmagic_basis
     ((ech, cols),) = solves
     system = valid_gram_system(h)
-    assert tuple(received) == system.rows and cols == system.cols
+    assert tuple(received) == valid_gram_system(h, independent_contexts(h)).rows
+    assert cols == system.cols
     assert ech.rref() == _echelon(system.rows)
     assert _null_vectors(ech, cols) == null_space_oracle(system.rows, system.cols)
 

@@ -7,7 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magicsets import bound, datasets, gram
-from magicsets.gf2 import BitMatrix, _affine_solutions, _block_low, _null_vectors, _rank_rows, rank
+from magicsets.gf2 import (
+    BitMatrix,
+    _affine_solutions,
+    _block_low,
+    _block_ranks,
+    _null_vectors,
+    _rank_rows,
+    rank,
+)
 from magicsets.gram import (
     MinQubitsResult,
     NoMagicGramError,
@@ -44,6 +52,7 @@ from conftest import (
     row_form_solutions,
     seeded_magic_grams,
     transposed,
+    valid_gram_system,
 )
 
 
@@ -149,6 +158,12 @@ class TestMagicSplitAgainstOracle:
         h = disjoint_union(entries["HD"].hypergraph, rigid_blocks(copies))
         assert self.assert_same_split(h) is not None
 
+    def test_hb_beside_rigid_blocks(self, entries):
+        # m = 185: 14 of each block's 20 triples are sums of earlier ones.
+        h = disjoint_union(entries["HB"].hypergraph, rigid_blocks(25))
+        assert h.vertex_count == 185
+        assert self.assert_same_split(h) is not None
+
     def test_planarity_duals(self):
         # Seeded graphs of the planarity workload's sizes, pruned and dualized
         # as ``is_planar_via_gram`` does.
@@ -162,6 +177,31 @@ class TestMagicSplitAgainstOracle:
                 if core.num_edges:
                     magic.append(self.assert_same_split(dual(core)) is not None)
         assert any(magic) and not all(magic)
+
+    def test_dependent_contexts_add_no_equation(self, square, monkeypatch):
+        # Nested contexts A > B > C beside the square.  A ^ B, B ^ C and
+        # A ^ C are each the sum of two of them, their pairs already share
+        # A, and together they keep every degree even.
+        a, b, c = set(range(10, 16)), set(range(10, 14)), {10, 11}
+        gadget = [a, b, c, {10, 11, 14, 15}]
+        h = Hypergraph.from_edges([*square.hypergraph.edges, *gadget], 15)
+        sums = [a ^ b, b ^ c, a ^ c]
+        extended = Hypergraph.from_edges([*h.edges, *sums], 15)
+        assert pair_variables(extended) == pair_variables(h)
+        received = []
+
+        class Recording(gram.Echelon):
+            def insert(self, row):
+                received.append(row)
+                return super().insert(row)
+
+        monkeypatch.setattr(gram, "Echelon", Recording)
+        dim = valid_gram_space(h).dim
+        inserted = len(received)
+        received.clear()
+        assert valid_gram_space(extended).dim == dim
+        assert len(received) == inserted
+        assert len(valid_gram_system(extended).rows) > inserted
 
     def test_no_per_matrix_parity_or_xor(self, entries, monkeypatch):
         def fail(*args):
@@ -462,6 +502,31 @@ def gray_min_qubits(h: Hypergraph, enumeration_cap: int = 24) -> MinQubitsResult
 
 class TestMinQubitsAgainstGrayScan:
     """The batched scan gives the Gray scan's qubits, witness, flags and counts."""
+
+    def test_one_matrix_spaces_skip_the_scan(self, entries, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a one-matrix space was scanned")
+
+        one = [e.hypergraph for e in entries.values()
+               if not len(valid_gram_space(e.hypergraph).nonmagic_basis)]
+        assert len(one) == 7
+        want = [gray_min_qubits(h) for h in one]
+        monkeypatch.setattr(gram, "_block_ranks", fail)
+        assert [min_qubits(h) for h in one] == want
+
+    def test_first_block_bounded_by_the_offset_rank(self, entries, monkeypatch):
+        h = entries["HB"].hypergraph
+        bounds = []
+
+        def recording(block, bound=None):
+            bounds.append(bound)
+            return _block_ranks(block, bound)
+
+        monkeypatch.setattr(gram, "_block_ranks", recording)
+        res = min_qubits(h)
+        assert _rank_rows(valid_gram_space(h).magic_offset.rows) == 6
+        assert bounds == [6]
+        assert res == gray_min_qubits(h)
 
     @pytest.mark.parametrize("name", datasets.NAMES)
     def test_bundled(self, entries, name):
