@@ -143,10 +143,6 @@ def validate_gram(h: Hypergraph, g: BitMatrix) -> list[str]:
     return problems
 
 
-def is_valid_gram(h: Hypergraph, g: BitMatrix) -> bool:
-    return not validate_gram(h, g)
-
-
 def magic_parity(
     h: Hypergraph,
     g: BitMatrix,
@@ -373,13 +369,15 @@ def min_qubits(h: Hypergraph, enumeration_cap: int = 24) -> MinQubitsResult:
     ``enumeration_cap``; beyond that, the best upper bound over sampled
     combinations of basis elements is returned with exact=False.
 
-    The offset's own rank bounds the minimum from above.  A space of one
-    matrix (d = 0) is its offset, so that rank is the answer.  Otherwise
-    the exact scan ranks all 2^d matrices offset + span(nonmagic_basis)
-    with ``gf2._block_ranks``, one ``gf2._block_low`` block at a time (2^14
-    matrices, fewer for wide matrices), dropping every matrix ranked above
-    the offset's rank in the first block and above the least rank of the
-    blocks before in the rest.  The offset is the scan's first matrix, so
+    A space of one matrix (d = 0) is its offset, so the offset's rank is
+    the answer.  Otherwise the least rank of the offset and its d single
+    basis shifts, all in the space, bounds the minimum from above; the
+    offset's rank alone depends on the labels (on HB it is 10 under some
+    relabellings, where the least is 6).  The exact scan ranks all 2^d
+    matrices offset + span(nonmagic_basis) with ``gf2._block_ranks``, one
+    ``gf2._block_low`` block at a time (2^14 matrices, fewer for wide
+    matrices), dropping every matrix ranked above the least rank of the
+    blocks before, or above the seed bound while no block has kept one, so
     no matrix of least rank is dropped.  The witness is, among the
     matrices of least rank, the one with the least Gray index: Gray step s
     visits coefficient vector s ^ (s >> 1), one basis flip per step from
@@ -397,15 +395,24 @@ def min_qubits(h: Hypergraph, enumeration_cap: int = 24) -> MinQubitsResult:
     width = (m + 63) // 64
     low = _block_low(m * width)
 
-    offset_rank = _rank_rows(offset.rows)
+    seed = _rank_rows(offset.rows)
+    for b in space.nonmagic_basis:
+        # A shift lowers the seed only if its rank stays below it.
+        rank = 0
+        for independent in _top_insert({}, [x ^ y for x, y in zip(offset.rows, b.rows)]):
+            rank += independent
+            if rank >= seed:
+                break
+        else:
+            seed = rank
 
     if d <= enumeration_cap:
         if not d:
-            return MinQubitsResult(offset_rank // 2, True, offset, 1, 1)
+            return MinQubitsResult(seed // 2, True, offset, 1, 1)
         basis = [_words(b, width) for b in space.nonmagic_basis]
         best = None  # (rank, Gray index, words)
         for number, block in enumerate(_span_blocks(_words(offset, width), basis, low)):
-            bound = offset_rank if best is None else best[0]
+            bound = seed if best is None else best[0]
             ranks, index = _block_ranks(block.reshape(-1, m, width), bound)
             if not len(ranks):
                 continue
@@ -430,7 +437,7 @@ def min_qubits(h: Hypergraph, enumeration_cap: int = 24) -> MinQubitsResult:
     for start in range(0, len(first), 1 << low):
         stop = start + (1 << low)
         block = off ^ vecs[first[start:stop]] ^ vecs[second[start:stop]]
-        bound = offset_rank if best is None else best[0]
+        bound = seed if best is None else best[0]
         ranks, index = _block_ranks(block.reshape(-1, m, width), bound)
         if len(ranks) and (best is None or ranks.min() < best[0]):
             k = int(np.argmin(ranks))
@@ -564,7 +571,6 @@ __all__ = [
     "NotProperEulerianError",
     "valid_gram_space",
     "validate_gram",
-    "is_valid_gram",
     "magic_parity",
     "fast_magic_parity",
     "is_magic_gram",

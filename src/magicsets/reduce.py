@@ -211,13 +211,68 @@ def _reduction(h: Hypergraph, g: BitMatrix) -> tuple[ReductionRecipe, ReductionS
     return recipe, snapshots, out
 
 
-def reduce_with(h: Hypergraph, g: BitMatrix) -> ReductionTrace:
-    """Run one reduction round with a magic, non-reduced Gram matrix.
+def _odd_masks(masks: list[int]) -> list[int]:
+    """The nonzero masks occurring an odd number of times, in order of
+    first occurrence: mod-2 flattening of the contexts."""
+    parity: dict[int, int] = {}
+    for x in masks:
+        parity[x] = parity.get(x, 0) ^ 1
+    return [x for x, odd in parity.items() if odd and x]
 
-    The output hypergraph is proper Eulerian and the restricted matrix is
-    re-verified to be one of its magic Gram matrices.  Vertices left
-    isolated by the mod-2 steps are deleted as well (see ``_reduction``).
+
+def _child(h: Hypergraph, sig: tuple) -> tuple[Hypergraph, list[int]]:
+    """``_reduction``'s output for a signature (zero rows, equal-row
+    classes), from bit masks: (output, least vertex of each surviving
+    class).
+
+    Class k, classes ordered by least vertex as ``recipe_from_gram``
+    numbers them, is bit k, and a zero-row vertex no bit.  A context's
+    mask, the XOR of its vertices' bits, is its mod-2 vertex multiplicity,
+    and ``_odd_masks`` flattens the contexts.  Classes in no kept mask are
+    isolated: they are cleared from every mask and the flattening redone,
+    which keeps the same contexts in ``_reduction``'s replayed order (two
+    contexts that differed only in isolated classes now coincide).
+    Surviving classes are renumbered in order.
     """
+    classes = sig[1]
+    bit = [0] * (h.vertex_count + 1)
+    for k, c in enumerate(classes):
+        for v in c:
+            bit[v + 1] = 1 << k
+    masks = []
+    for e in h.edges:
+        x = 0
+        for v in e:
+            x ^= bit[v]
+        masks.append(x)
+    kept = _odd_masks(masks)
+    used = 0
+    for x in kept:
+        used |= x
+    survivors = [k for k in range(len(classes)) if used >> k & 1]
+    if len(survivors) < len(classes):
+        kept = _odd_masks([x & used for x in masks])
+    ids = [0] * len(classes)
+    for new, k in enumerate(survivors):
+        ids[k] = new + 1
+    edges = []
+    for x in kept:
+        e = []
+        while x:
+            low = x & -x
+            e.append(ids[low.bit_length() - 1])
+            x ^= low
+        edges.append(tuple(e))
+    return Hypergraph(len(survivors), tuple(edges)), [classes[k][0] + 1 for k in survivors]
+
+
+def _checked_reduction(h: Hypergraph, g: BitMatrix, build) -> tuple[Hypergraph, BitMatrix]:
+    """Run ``build()`` -> (output, representatives) for the reduction g
+    dictates, between ``reduce_with``'s checks: g is a valid, magic,
+    non-reduced Gram matrix of h (ValueError otherwise), the output is
+    proper Eulerian and g restricted to the representatives is one of its
+    magic Gram matrices (AssertionError otherwise).  Returns (output,
+    restricted matrix)."""
     problems = validate_gram(h, g)
     if problems:
         raise ValueError("not a valid Gram matrix: " + "; ".join(problems[:3]))
@@ -225,8 +280,7 @@ def reduce_with(h: Hypergraph, g: BitMatrix) -> ReductionTrace:
         raise ValueError("Gram matrix is not magic")
     if is_reduced(g):
         raise ValueError("Gram matrix is already reduced; nothing to do")
-    recipe, snapshots, out = _reduction(h, g)
-    reps = [min(pre) for _, pre in recipe.identification]
+    out, reps = build()
     reduced = BitMatrix(
         len(reps),
         tuple(
@@ -239,6 +293,24 @@ def reduce_with(h: Hypergraph, g: BitMatrix) -> ReductionTrace:
         raise AssertionError(f"reduction produced a non-proper-Eulerian hypergraph: {diag}")
     if not is_magic_gram(out, reduced):
         raise AssertionError("reduced matrix is not magic for the output hypergraph")
+    return out, reduced
+
+
+def reduce_with(h: Hypergraph, g: BitMatrix) -> ReductionTrace:
+    """Run one reduction round with a magic, non-reduced Gram matrix.
+
+    The output hypergraph is proper Eulerian and the restricted matrix is
+    re-verified to be one of its magic Gram matrices.  Vertices left
+    isolated by the mod-2 steps are deleted as well (see ``_reduction``).
+    """
+    recipe = snapshots = None
+
+    def build():
+        nonlocal recipe, snapshots
+        recipe, snapshots, out = _reduction(h, g)
+        return out, [min(pre) for _, pre in recipe.identification]
+
+    out, reduced = _checked_reduction(h, g, build)
     return ReductionTrace(h, g, recipe, snapshots, out, reduced)
 
 
@@ -459,11 +531,11 @@ class DescentReport:
     distinct identity-labeled minimal output encountered on the way (the
     same structure reappears under many labelings, one per reduction
     path).  Orbit pruning leaves it whole: the orbit-mates of a signature
-    with a minimal child replay their recipes to add their copies.  Only
-    one labelled copy of each intermediate class is expanded, and which
-    one depends on the input's labels, so on deeper searches
-    ``len(labeled_copies)`` does too: relabellings of one input can give
-    different counts while the classes, nodes and matrices agree.
+    with a minimal child build their own children, from bit masks, to add
+    their copies.  Only one labelled copy of each intermediate class is
+    expanded, and which one depends on the input's labels, so on deeper
+    searches ``len(labeled_copies)`` does too: relabellings of one input
+    can give different counts while the classes, nodes and matrices agree.
     ``nodes_expanded`` counts scanned hypergraphs and
     ``matrices_inspected`` the magic matrices their scans went through,
     pruned signatures included.  ``already_minimal`` is true when the
@@ -572,24 +644,36 @@ def _reducible_signatures(
         yield from new_signatures(block.reshape(-1, m, width))
 
 
-def _signature_orbit(sig: tuple, gens: list[list[int]]) -> list[tuple]:
-    """Every image of a reduction signature under the group ``gens``
-    generate (vertex permutations), found breadth-first from ``sig``.
+def _signature_labels(sig: tuple, m: int) -> tuple[int, ...]:
+    """A signature (zero rows, equal-row classes) as ``_row_labels`` writes
+    it: per vertex the least vertex of its class, m for a zero row."""
+    labels = [m] * m
+    for c in sig[1]:
+        for v in c:
+            labels[v] = c[0]
+    return tuple(labels)
+
+
+def _signature_orbit(labels: tuple[int, ...], gens: list[list[int]]) -> list[tuple]:
+    """Every image of a reduction signature, as ``_signature_labels``,
+    under the group ``gens`` generate (vertex permutations), found
+    breadth-first from ``labels``.
 
     An automorphism maps a matrix with signature (zero rows, equal-row
     classes) to one whose signature is the image, with an isomorphic
-    reduction, so a whole orbit reduces to one isomorphism class.
+    reduction, so a whole orbit reduces to one isomorphism class.  The
+    inverses of the generators generate the same group, and the image
+    under g's inverse gives vertex v the class of g[v]: relabelled by
+    first occurrence, each class takes its least vertex.
     """
+    m = len(labels)
 
-    def images(s: tuple):
-        zero, classes = s
+    def images(labels: tuple):
         for g in gens:
-            yield (
-                tuple(sorted(g[i] for i in zero)),
-                tuple(sorted(tuple(sorted(g[i] for i in c)) for c in classes)),
-            )
+            first = {m: m}
+            yield tuple([first.setdefault(labels[u], v) for v, u in enumerate(g)])
 
-    return orbit(sig, images)
+    return orbit(labels, images)
 
 
 def find_minimal_descendants(
@@ -617,24 +701,29 @@ def find_minimal_descendants(
     reported, a reducible one is expanded, and later copies only add to
     ``labeled_copies``.  Isomorphic hypergraphs have the same reducibility
     and, relabeled, the same reductions, so neither the verdict nor the
-    descendant classes depend on which copy came first.
+    descendant classes depend on which copy came first.  Certificates are
+    kept per search by ``canonical_edges``: a child with the edges of an
+    earlier one takes its certificate without a new search; its class is
+    then already classified, so its automorphisms are never needed.
 
     Within a node, reductions are pruned by orbits (isomorph rejection,
     McKay, J. Algorithms 26, 1998): the certificate search of every node
     also yields automorphisms of it, which permute its reduction
     signatures, and signatures in one orbit give isomorphic children.
-    Only the first signature of each orbit in scan order is reduced (with
-    all of ``reduce_with``'s checks) and classed; its orbit-mates reuse
-    that class, and replay their recipe only when the class is minimal, to
-    add their labelled copy.  The first child of every class comes from
-    the first signature of its orbit, so the report is the one the
-    unpruned search gives.
+    Only the first signature of each orbit in scan order is reduced and
+    classed; its orbit-mates reuse that class, and build their child only
+    when the class is minimal, to add their labelled copy.  The first
+    child of every class comes from the first signature of its orbit, so
+    the report is the one the unpruned search gives.  Every child is built
+    from its signature's bit masks (``_child``), and every first reduction
+    passes the checks ``reduce_with`` makes (``_checked_reduction``).
     """
     t0 = time.monotonic()
     deadline = None if max_seconds is None else t0 + max_seconds
     space = _magic_space(h)
 
     is_minimal_class: dict[tuple, bool] = {}
+    certificates: dict[tuple, tuple] = {}  # canonical_edges(child) -> its certificate
     minimal: list[Hypergraph] = []
     labeled: dict = {}
     complete = True
@@ -655,37 +744,41 @@ def find_minimal_descendants(
             if len(sp.nonmagic_basis) > gram_cap:
                 complete = False
             children = []
-            orbit_class: dict[tuple, tuple] = {}  # signature -> its child's certificate
+            orbit_class: dict[tuple, tuple] = {}  # signature labels -> its child's certificate
             found = False
             for sig, matrix in _reducible_signatures(
                 current, sp.magic_offset, sp.nonmagic_basis, gram_cap, stats, deadline
             ):
                 found = True
                 _check_deadline(deadline)
-                cert = orbit_class.get(sig)
+                labels = _signature_labels(sig, current.vertex_count)
+                cert = orbit_class.get(labels)
                 if cert is not None:
                     if is_minimal_class[cert]:
-                        child = _reduction(current, matrix)[2]
+                        child = _child(current, sig)[0]
                         labeled.setdefault(canonical_edges(child), child)
                     continue
-                child = reduce_with(current, matrix).output
-                cert, child_gens = _key_and_gens(child)
-                child_minimal = is_minimal_class.get(cert)
-                if child_minimal is None:
-                    child_space = valid_gram_space(child)
-                    if child_space.magic_offset is None:
-                        raise AssertionError("reduction output lost its magic Gram matrix")
-                    child_minimal = not _has_reducible_matrix(
-                        child_space.magic_offset, child_space.nonmagic_basis, deadline
-                    )
-                    is_minimal_class[cert] = child_minimal
-                    if child_minimal:
-                        minimal.append(child)
-                    else:
-                        children.append((child, child_space, child_gens))
-                orbit_class.update(dict.fromkeys(_signature_orbit(sig, gens), cert))
-                if child_minimal:
-                    labeled.setdefault(canonical_edges(child), child)
+                child, _ = _checked_reduction(current, matrix, lambda: _child(current, sig))
+                edges = canonical_edges(child)
+                cert = certificates.get(edges)
+                if cert is None:
+                    cert, child_gens = _key_and_gens(child)
+                    certificates[edges] = cert
+                    if cert not in is_minimal_class:
+                        child_space = valid_gram_space(child)
+                        if child_space.magic_offset is None:
+                            raise AssertionError("reduction output lost its magic Gram matrix")
+                        child_minimal = not _has_reducible_matrix(
+                            child_space.magic_offset, child_space.nonmagic_basis, deadline
+                        )
+                        is_minimal_class[cert] = child_minimal
+                        if child_minimal:
+                            minimal.append(child)
+                        else:
+                            children.append((child, child_space, child_gens))
+                orbit_class.update(dict.fromkeys(_signature_orbit(labels, gens), cert))
+                if is_minimal_class[cert]:
+                    labeled.setdefault(edges, child)
             if current is h:
                 already_minimal = not found
             queue.extend(children)

@@ -287,8 +287,8 @@ def test_criterion_10_hb_descendants_stretch(entries):
         pytest.skip(
             f"informational (stretch): partial HB search found "
             f"{len(result.minimal)} minimal classes in {elapsed:.0f}s "
-            f"(budget {budget:.0f}s); set MAGICSETS_HB_SECONDS to roughly "
-            f"600 to run it to completion"
+            f"(budget {budget:.0f}s); raise MAGICSETS_HB_SECONDS to run it to "
+            f"completion (it takes 60-80 s on a 2-core host)"
         )
     assert len(result.minimal) == 309
     report("10: HB exhaustive descendant count", elapsed, f"({len(result.minimal)} classes)")

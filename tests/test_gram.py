@@ -528,6 +528,28 @@ class TestMinQubitsAgainstGrayScan:
         assert bounds == [6]
         assert res == gray_min_qubits(h)
 
+    def test_first_bound_is_label_independent(self, entries, monkeypatch):
+        # The offset's rank is 10 under two of these relabellings; the
+        # least over the offset and its single shifts is 6 under all.
+        rng = random.Random(0)
+        bounds, first_bounds, offset_ranks = [], [], []
+
+        def recording(block, bound=None):
+            bounds.append(bound)
+            return _block_ranks(block, bound)
+
+        monkeypatch.setattr(gram, "_block_ranks", recording)
+        for _ in range(20):
+            h = relabelled(entries["HB"].hypergraph, rng)
+            bounds.clear()
+            res = min_qubits(h)
+            first_bounds.append(bounds[0])
+            offset_ranks.append(_rank_rows(valid_gram_space(h).magic_offset.rows))
+            if offset_ranks[-1] != 6:
+                assert res == gray_min_qubits(h)
+        assert first_bounds == [6] * 20
+        assert offset_ranks.count(10) == 2
+
     @pytest.mark.parametrize("name", datasets.NAMES)
     def test_bundled(self, entries, name):
         # HA (d=30) and HC (d=26) take the sampled branch, the rest the scan.

@@ -26,8 +26,10 @@ from magicsets.reduce import (
     DescentReport,
     RecipeError,
     ReductionRecipe,
+    _child,
     _key_and_gens,
     _reducible_signatures,
+    _reduction,
     _row_labels,
     apply_recipe,
     are_isomorphic,
@@ -234,6 +236,48 @@ class TestRecipeFromGram:
         recipe = recipe_from_gram(hd.hypergraph, pulled_back_gram(hd, child))
         assert recipe.identification == child.recipe.identification
         assert recipe.deleted_vertices == frozenset()
+
+
+def signature_and_gram(labels: list[int]) -> tuple[tuple, BitMatrix]:
+    """The signature of a per-vertex labelling (0 a zero row, equal labels
+    one class) and a matrix with that signature: row i is label i."""
+    classes: dict[int, list[int]] = {}
+    for i, label in enumerate(labels):
+        classes.setdefault(label, []).append(i)
+    zero = tuple(classes.pop(0, ()))
+    sig = zero, tuple(sorted(tuple(c) for c in classes.values()))
+    return sig, BitMatrix(len(labels), tuple(labels))
+
+
+class TestChildKernel:
+    """The mask-built child is ``_reduction``'s output, isolated classes and
+    the replayed context order included."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reduction(self, data):
+        m = data.draw(st.integers(1, 9), label="m")
+        edges = data.draw(
+            st.lists(st.lists(st.integers(1, m), min_size=1, max_size=5), min_size=1, max_size=10),
+            label="edges",
+        )
+        h = Hypergraph.from_edges(edges, m)
+        labels = data.draw(st.lists(st.integers(0, m), min_size=m, max_size=m), label="labels")
+        sig, g = signature_and_gram(labels)
+        recipe, _, out = _reduction(h, g)
+        child, reps = _child(h, sig)
+        assert child == out
+        assert reps == [min(pre) for _, pre in recipe.identification]
+
+    def test_isolated_class_merges_contexts(self):
+        # Vertex 5 cancels with its two contexts, leaving (1,2) three
+        # times: it now leads, where the first pass kept (3,4) first.
+        h = Hypergraph.from_edges([(1, 2, 5), (3, 4), (1, 2), (1, 2, 5)], 5)
+        sig, g = signature_and_gram([1, 2, 3, 4, 5])
+        child, reps = _child(h, sig)
+        assert child == _reduction(h, g)[2]
+        assert (child.vertex_count, child.edges) == (4, ((1, 2), (3, 4)))
+        assert reps == [1, 2, 3, 4]
 
 
 class TestDescendants:
@@ -496,12 +540,14 @@ class TestOrbitPrunedDescent:
     def test_random_magic_descendants(self, name, seed):
         self.assert_matches_unpruned(magic_descendant(name, random.Random(seed)))
 
-    @pytest.mark.parametrize("name, reductions, certificates", [("HD", 3, 4), ("HB-d5", 20, 21)])
+    @pytest.mark.parametrize("name, reductions, certificates", [("HD", 3, 3), ("HB-d5", 20, 15)])
     def test_one_reduction_per_orbit(self, entries, monkeypatch, name, reductions, certificates):
-        # Unpruned, HD takes 12 reductions and HB-d5 37; the extra
-        # certificate is the root's, for its automorphisms.
+        # Unpruned, HD takes 12 reductions and HB-d5 37.  Every first
+        # reduction of an orbit passes the checks; certificates are taken
+        # once per distinct labelled child, plus the root's, for its
+        # automorphisms.
         h = entries["HD"].hypergraph if name == "HD" else hb_d5()
-        calls = {"reduce_with": 0, "_key_and_gens": 0}
+        calls = {"_checked_reduction": 0, "_key_and_gens": 0}
         for fn in calls:
             original = getattr(reduce, fn)
 
@@ -511,7 +557,73 @@ class TestOrbitPrunedDescent:
 
             monkeypatch.setattr(reduce, fn, counted)
         find_minimal_descendants(h, max_seconds=None)
-        assert calls == {"reduce_with": reductions, "_key_and_gens": certificates}
+        assert calls == {"_checked_reduction": reductions, "_key_and_gens": certificates}
+
+
+def descent_inputs(entries) -> list[tuple[Hypergraph, int]]:
+    """(input, node budget): HD and the seeded HB descendants up to d = 9,
+    each under one relabelling.  The d = 7 and d = 9 descendants reach
+    about 1 800 nodes and 300 classes, a minute each, so they get 4 nodes."""
+    rng = random.Random(86)
+    hs = [entries["HD"].hypergraph] + hb_descendants(max_dim=9)
+    budgets = [10_000 if len(valid_gram_space(h).nonmagic_basis) <= 5 else 4 for h in hs]
+    return [(relabelled(h, rng), budget) for h, budget in zip(hs, budgets)]
+
+
+class TestDescentChildren:
+    """What the search builds, against ``reduce_with`` as the oracle."""
+
+    def test_every_child_is_reduce_with_output(self, entries, monkeypatch):
+        matrices: dict = {}  # (node, signature) -> the scan's matrix
+        built: list = []  # (node, signature, child) per kernel call
+        scan, kernel = reduce._reducible_signatures, reduce._child
+
+        def recording_scan(h, *args):
+            for sig, matrix in scan(h, *args):
+                matrices[id(h), sig] = h, matrix
+                yield sig, matrix
+
+        def recording_kernel(h, sig):
+            out = kernel(h, sig)
+            built.append((h, sig, out[0]))
+            return out
+
+        monkeypatch.setattr(reduce, "_reducible_signatures", recording_scan)
+        monkeypatch.setattr(reduce, "_child", recording_kernel)
+        for h, budget in descent_inputs(entries):
+            built.clear()
+            find_minimal_descendants(h, max_nodes=budget, max_seconds=None)
+            assert built
+            for node, sig, child in built:
+                parent, matrix = matrices[id(node), sig]
+                assert parent is node
+                assert child == reduce_with(node, matrix).output
+
+    def test_one_certificate_per_labelled_child(self, entries, monkeypatch):
+        children: list = []
+        calls = [0]
+        checked, certify = reduce._checked_reduction, reduce._key_and_gens
+
+        def recording(*args):
+            out = checked(*args)
+            children.append(out[0])
+            return out
+
+        def counted(h):
+            calls[0] += 1
+            return certify(h)
+
+        monkeypatch.setattr(reduce, "_checked_reduction", recording)
+        monkeypatch.setattr(reduce, "_key_and_gens", counted)
+        repeats = 0
+        for h, budget in descent_inputs(entries):
+            children.clear()
+            calls[0] = 0
+            find_minimal_descendants(h, max_nodes=budget, max_seconds=None)
+            distinct = len({canonical_edges(c) for c in children})
+            assert calls[0] == distinct + 1
+            repeats += len(children) - distinct
+        assert repeats > 0
 
 
 class TestAutomorphismGenerators:
