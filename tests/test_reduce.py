@@ -540,7 +540,9 @@ class TestOrbitPrunedDescent:
     def test_random_magic_descendants(self, name, seed):
         self.assert_matches_unpruned(magic_descendant(name, random.Random(seed)))
 
-    @pytest.mark.parametrize("name, reductions, certificates", [("HD", 3, 3), ("HB-d5", 20, 15)])
+    @pytest.mark.parametrize(
+        "name, reductions, certificates", [("HD", 3, 3), ("HB-d5", 20, 15)], ids=["HD", "HB-d5"]
+    )
     def test_one_reduction_per_orbit(self, entries, monkeypatch, name, reductions, certificates):
         # Unpruned, HD takes 12 reductions and HB-d5 37.  Every first
         # reduction of an orbit passes the checks; certificates are taken
