@@ -74,15 +74,20 @@ def load_hypergraph(path: str) -> Hypergraph:
         raise InputError(f"cannot parse hypergraph from {path}: {err}") from err
 
 
-def _cap(text: str) -> int:
-    """An --enumeration-cap value: an integer of at least 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
-    return value
+def _cap(kind: type):
+    """The argparse type of a cap or budget: a ``kind`` (int or float)
+    value of at least 0."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        if not value >= 0:  # a NaN budget is refused as well
+            raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+        return value
+
+    return parse
 
 
 def _emit(doc: dict, as_json: bool, lines: list[str]) -> None:
@@ -368,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("check", cmd_check, "proper-Eulerian check, magic decision, minimum qubits")
     p.add_argument("file")
-    p.add_argument("--enumeration-cap", type=_cap, default=24)
+    p.add_argument("--enumeration-cap", type=_cap(int), default=24)
     p.add_argument("--dump-gram", action="store_true",
                    help="include a minimum-rank magic Gram matrix as 0/1 rows")
 
@@ -376,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--qubits", type=int, required=True)
     p.add_argument("--output", help="write the assignment JSON here")
-    p.add_argument("--enumeration-cap", type=_cap, default=24)
+    p.add_argument("--enumeration-cap", type=_cap(int), default=24)
 
     p = command("bound", cmd_bound, "noncontextual bound for a sign pattern")
     p.add_argument("file")
@@ -388,14 +393,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="with --hypergraph-level: all odd cosets, not only Pauli ones")
     p.add_argument("--brute-force", action="store_true",
                    help="also run the 2^m oracle and cross-check")
-    p.add_argument("--decimals", type=int, default=2)
+    p.add_argument("--decimals", type=_cap(int), default=2)
 
     p = command("reduce", cmd_reduce, "apply a recipe or search for minimal descendants")
     p.add_argument("file")
     p.add_argument("--recipe", help="recipe JSON file")
     p.add_argument("--search", action="store_true")
-    p.add_argument("--max-nodes", type=int, default=10_000)
-    p.add_argument("--max-seconds", type=float, default=3600.0)
+    p.add_argument("--max-nodes", type=_cap(int), default=10_000)
+    p.add_argument("--max-seconds", type=_cap(float), default=3600.0)
 
     p = command("planarity", cmd_planarity, "planarity via the dual's Gram space")
     p.add_argument("file")

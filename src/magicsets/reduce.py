@@ -7,6 +7,13 @@ after which vertex and edge multiplicities are flattened modulo 2.  The
 matrix restricted to the surviving representatives stays magic for the
 result, so the process recurses until every magic Gram matrix is reduced,
 i.e. until the hypergraph is minimal.
+
+One kernel does the flattening for recipes, ``reduce_with`` and the
+search: each surviving vertex class is one bit, a context is the XOR of
+its vertices' bits (``_context_masks``), the masks of odd count are kept
+(``_odd_masks``) and read back as contexts (``_mask_edges``).  A matrix's
+reduction depends only on its row labels (``_gram_labels``): per vertex
+the least index of an equal row, or m for a zero row.
 """
 
 from __future__ import annotations
@@ -77,10 +84,14 @@ class ReductionRecipe:
             raise RecipeError(f'"delete" must be a list of vertices, got {deleted!r}')
         if not isinstance(identify, dict) or not all(isinstance(vs, list) for vs in identify.values()):
             raise RecipeError(f'"identify" must map new vertex ids to vertex lists, got {identify!r}')
-        return cls.build(
-            [_integer(v, "deleted vertex") for v in deleted],
-            {int(k): [_integer(v, "preimage vertex") for v in vs] for k, vs in identify.items()},
-        )
+        identification = {}
+        for k, vs in identify.items():
+            try:
+                new = int(k)
+            except ValueError:
+                raise RecipeError(f'"identify" key {k!r} is not an integer vertex id') from None
+            identification[new] = [_integer(v, "preimage vertex") for v in vs]
+        return cls.build([_integer(v, "deleted vertex") for v in deleted], identification)
 
 
 @dataclass(frozen=True)
@@ -134,81 +145,16 @@ def _validate_recipe(h: Hypergraph, recipe: ReductionRecipe) -> dict[int, int]:
     return {v: rank + 1 for rank, v in enumerate(sorted(survivors))}
 
 
-def _apply_steps(h: Hypergraph, mapping: dict[int, int]) -> tuple[ReductionSnapshots, Hypergraph]:
-    after_deletion = tuple(
-        tuple(v for v in e if v in mapping) for e in h.edges
-    )
-    after_identification = tuple(
-        tuple(sorted(mapping[v] for v in e)) for e in after_deletion
-    )
-    after_vertex_mod2 = tuple(
-        tuple(sorted(v for v in set(e) if e.count(v) % 2 == 1)) for e in after_identification
-    )
-    counts: dict[tuple[int, ...], int] = {}
-    for e in after_vertex_mod2:
-        counts[e] = counts.get(e, 0) + 1
-    seen: set[tuple[int, ...]] = set()
-    after_edge_mod2 = []
-    for e in after_vertex_mod2:
-        if e and counts[e] % 2 == 1 and e not in seen:
-            after_edge_mod2.append(e)
-            seen.add(e)
-    after_edge_mod2 = tuple(after_edge_mod2)
-    num_new = max(mapping.values(), default=0)
-    out = Hypergraph(num_new, after_edge_mod2, name=None)
-    return (
-        ReductionSnapshots(after_deletion, after_identification, after_vertex_mod2, after_edge_mod2),
-        out,
-    )
-
-
-def apply_recipe(h: Hypergraph, recipe: ReductionRecipe) -> Hypergraph:
-    """Deterministic replay of delete / identify / mod-2 flattening steps."""
-    mapping = _validate_recipe(h, recipe)
-    _, out = _apply_steps(h, mapping)
-    return out
-
-
-def recipe_from_gram(h: Hypergraph, g: BitMatrix) -> ReductionRecipe:
-    """Derive the recipe a Gram matrix dictates: zero rows are deletions,
-    equal-row classes merge, and classes take new ids by ascending minimum
-    preimage."""
-    deleted = [i + 1 for i in range(h.vertex_count) if g.rows[i] == 0]
-    classes: dict[int, list[int]] = {}
-    for i in range(h.vertex_count):
-        row = g.rows[i]
-        if row:
-            classes.setdefault(row, []).append(i + 1)
-    ordered = sorted(classes.values(), key=min)
-    identification = {new + 1: tuple(pre) for new, pre in enumerate(ordered)}
-    return ReductionRecipe.build(deleted, identification)
-
-
-def _reduction(h: Hypergraph, g: BitMatrix) -> tuple[ReductionRecipe, ReductionSnapshots, Hypergraph]:
-    """The recipe g dictates, run: (recipe, snapshots, output), unchecked.
-
-    Vertices whose every incident edge cancels in the mod-2 steps end up
-    isolated; they are folded into the deletions and the steps replayed,
-    which provably leaves all other edges untouched (mod-2 counting is a
-    homomorphism under removing a vertex from every edge containing it).
-    The result depends on g only through its zero rows and its equal-row
-    partition.
-    """
-    recipe = recipe_from_gram(h, g)
-    mapping = _validate_recipe(h, recipe)
-    snapshots, out = _apply_steps(h, mapping)
-    isolated = [v + 1 for v, d in enumerate(out.degrees()) if d == 0]
-    if isolated:
-        classes = dict(recipe.identification)
-        extra_deleted = [v for new in isolated for v in classes.pop(new)]
-        survivors = sorted(classes.values(), key=min)
-        recipe = ReductionRecipe.build(
-            sorted(recipe.deleted_vertices | set(extra_deleted)),
-            {i + 1: pre for i, pre in enumerate(survivors)},
-        )
-        mapping = _validate_recipe(h, recipe)
-        snapshots, out = _apply_steps(h, mapping)
-    return recipe, snapshots, out
+def _context_masks(h: Hypergraph, bit: list[int]) -> list[int]:
+    """Per context, the XOR of its vertices' class bits (``bit[v]`` for
+    vertex v, 0 for a deleted one): its mod-2 vertex multiplicity."""
+    masks = []
+    for e in h.edges:
+        x = 0
+        for v in e:
+            x ^= bit[v]
+        masks.append(x)
+    return masks
 
 
 def _odd_masks(masks: list[int]) -> list[int]:
@@ -220,59 +166,115 @@ def _odd_masks(masks: list[int]) -> list[int]:
     return [x for x, odd in parity.items() if odd and x]
 
 
-def _child(h: Hypergraph, sig: tuple) -> tuple[Hypergraph, list[int]]:
-    """``_reduction``'s output for a signature (zero rows, equal-row
-    classes), from bit masks: (output, least vertex of each surviving
-    class).
-
-    Class k, classes ordered by least vertex as ``recipe_from_gram``
-    numbers them, is bit k, and a zero-row vertex no bit.  A context's
-    mask, the XOR of its vertices' bits, is its mod-2 vertex multiplicity,
-    and ``_odd_masks`` flattens the contexts.  Classes in no kept mask are
-    isolated: they are cleared from every mask and the flattening redone,
-    which keeps the same contexts in ``_reduction``'s replayed order (two
-    contexts that differed only in isolated classes now coincide).
-    Surviving classes are renumbered in order.
-    """
-    classes = sig[1]
-    bit = [0] * (h.vertex_count + 1)
-    for k, c in enumerate(classes):
-        for v in c:
-            bit[v + 1] = 1 << k
-    masks = []
-    for e in h.edges:
-        x = 0
-        for v in e:
-            x ^= bit[v]
-        masks.append(x)
-    kept = _odd_masks(masks)
-    used = 0
-    for x in kept:
-        used |= x
-    survivors = [k for k in range(len(classes)) if used >> k & 1]
-    if len(survivors) < len(classes):
-        kept = _odd_masks([x & used for x in masks])
-    ids = [0] * len(classes)
-    for new, k in enumerate(survivors):
-        ids[k] = new + 1
+def _mask_edges(masks: list[int], ids) -> tuple[tuple[int, ...], ...]:
+    """Each mask as a context: ``ids[k]`` for each set bit k, in ascending
+    bit order."""
     edges = []
-    for x in kept:
+    for x in masks:
         e = []
         while x:
             low = x & -x
             e.append(ids[low.bit_length() - 1])
             x ^= low
         edges.append(tuple(e))
-    return Hypergraph(len(survivors), tuple(edges)), [classes[k][0] + 1 for k in survivors]
+    return tuple(edges)
 
 
-def _checked_reduction(h: Hypergraph, g: BitMatrix, build) -> tuple[Hypergraph, BitMatrix]:
-    """Run ``build()`` -> (output, representatives) for the reduction g
-    dictates, between ``reduce_with``'s checks: g is a valid, magic,
-    non-reduced Gram matrix of h (ValueError otherwise), the output is
-    proper Eulerian and g restricted to the representatives is one of its
-    magic Gram matrices (AssertionError otherwise).  Returns (output,
-    restricted matrix)."""
+def apply_recipe(h: Hypergraph, recipe: ReductionRecipe) -> Hypergraph:
+    """Deterministic replay of delete / identify / mod-2 flattening steps.
+
+    New vertex k is bit k - 1 of the context masks; a new vertex left in
+    no context is kept, isolated."""
+    mapping = _validate_recipe(h, recipe)
+    bit = [0] * (h.vertex_count + 1)
+    for v, new in mapping.items():
+        bit[v] = 1 << (new - 1)
+    k = max(mapping.values(), default=0)
+    return Hypergraph(k, _mask_edges(_odd_masks(_context_masks(h, bit)), range(1, k + 1)))
+
+
+def _snapshots(h: Hypergraph, mapping: dict[int, int], out: Hypergraph) -> ReductionSnapshots:
+    """The edge lists of ``mapping``'s replay stage by stage; the last
+    stage is ``out``'s contexts."""
+    deleted = tuple(tuple(v for v in e if v in mapping) for e in h.edges)
+    identified = tuple(tuple(sorted(mapping[v] for v in e)) for e in deleted)
+    odd = tuple(tuple(sorted(v for v in set(e) if e.count(v) % 2)) for e in identified)
+    return ReductionSnapshots(deleted, identified, odd, out.edges)
+
+
+def _gram_labels(g: BitMatrix) -> tuple[int, ...]:
+    """Per row of g the least index of a row equal to it, or the row count
+    for a zero row: ``_row_labels`` of one matrix.  A reduction depends on
+    its matrix only through these labels."""
+    first = {0: len(g.rows)}
+    return tuple(first.setdefault(r, i) for i, r in enumerate(g.rows))
+
+
+def _labels_recipe(labels: tuple[int, ...], reps: list[int]) -> ReductionRecipe:
+    """The recipe that keeps the classes labelled ``reps`` (ascending), the
+    class of reps[k] as new vertex k + 1, and deletes every other vertex."""
+    new = {r: k + 1 for k, r in enumerate(reps)}
+    deleted, identification = [], {}
+    for v, label in enumerate(labels, 1):
+        if label in new:
+            identification.setdefault(new[label], []).append(v)
+        else:
+            deleted.append(v)
+    return ReductionRecipe.build(deleted, identification)
+
+
+def recipe_from_gram(h: Hypergraph, g: BitMatrix) -> ReductionRecipe:
+    """Derive the recipe a Gram matrix dictates: zero rows are deletions,
+    equal-row classes merge, and classes take new ids by ascending minimum
+    preimage."""
+    labels = _gram_labels(g)
+    return _labels_recipe(labels, sorted(set(labels) - {len(labels)}))
+
+
+def _child(h: Hypergraph, labels: tuple[int, ...]) -> tuple[Hypergraph, list[int]]:
+    """The reduction of a matrix with row labels ``labels``
+    (``_gram_labels``), from bit masks: (output, label of each surviving
+    class).
+
+    Class k, classes ordered by label as ``recipe_from_gram`` numbers
+    them, is bit k, and a zero-row vertex no bit.  Classes in no kept mask
+    are isolated: they are deleted too, cleared from every mask and the
+    flattening redone.  A mask of even count keeps an even count, so the
+    same contexts survive, but two that differed only in isolated classes
+    now coincide, and the second pass orders them as a replay of the
+    recipe without those classes does.  Surviving classes are renumbered
+    in order.
+    """
+    m = h.vertex_count
+    reps = sorted(set(labels) - {m})
+    index = {label: k for k, label in enumerate(reps)}
+    bit = [0] * (m + 1)
+    for v, label in enumerate(labels, 1):
+        if label < m:
+            bit[v] = 1 << index[label]
+    masks = _context_masks(h, bit)
+    kept = _odd_masks(masks)
+    used = 0
+    for x in kept:
+        used |= x
+    survivors = [k for k in range(len(reps)) if used >> k & 1]
+    if len(survivors) < len(reps):
+        kept = _odd_masks([x & used for x in masks])
+    ids = [0] * len(reps)
+    for new, k in enumerate(survivors, 1):
+        ids[k] = new
+    return Hypergraph(len(survivors), _mask_edges(kept, ids)), [reps[k] for k in survivors]
+
+
+def _checked_reduction(
+    h: Hypergraph, g: BitMatrix, labels: tuple[int, ...]
+) -> tuple[Hypergraph, list[int], BitMatrix]:
+    """The reduction of g, whose row labels are ``labels``, between
+    ``reduce_with``'s checks: g is a valid, magic, non-reduced Gram matrix
+    of h (ValueError otherwise), the output is proper Eulerian and g
+    restricted to the representatives is one of its magic Gram matrices
+    (AssertionError otherwise).  Returns (output, representatives,
+    restricted matrix), the representatives as ``_child`` gives them."""
     problems = validate_gram(h, g)
     if problems:
         raise ValueError("not a valid Gram matrix: " + "; ".join(problems[:3]))
@@ -280,20 +282,17 @@ def _checked_reduction(h: Hypergraph, g: BitMatrix, build) -> tuple[Hypergraph, 
         raise ValueError("Gram matrix is not magic")
     if is_reduced(g):
         raise ValueError("Gram matrix is already reduced; nothing to do")
-    out, reps = build()
+    out, reps = _child(h, labels)
     reduced = BitMatrix(
         len(reps),
-        tuple(
-            sum(((g.rows[a - 1] >> (b - 1)) & 1) << jb for jb, b in enumerate(reps))
-            for a in reps
-        ),
+        tuple(sum(((g.rows[a] >> b) & 1) << jb for jb, b in enumerate(reps)) for a in reps),
     )
     ok, diag = is_proper_eulerian(out)
     if not ok:
         raise AssertionError(f"reduction produced a non-proper-Eulerian hypergraph: {diag}")
     if not is_magic_gram(out, reduced):
         raise AssertionError("reduced matrix is not magic for the output hypergraph")
-    return out, reduced
+    return out, reps, reduced
 
 
 def reduce_with(h: Hypergraph, g: BitMatrix) -> ReductionTrace:
@@ -301,16 +300,14 @@ def reduce_with(h: Hypergraph, g: BitMatrix) -> ReductionTrace:
 
     The output hypergraph is proper Eulerian and the restricted matrix is
     re-verified to be one of its magic Gram matrices.  Vertices left
-    isolated by the mod-2 steps are deleted as well (see ``_reduction``).
+    isolated by the mod-2 steps are deleted as well (see ``_child``); the
+    recipe and snapshots are those of the deletions and merges that
+    remain.
     """
-    recipe = snapshots = None
-
-    def build():
-        nonlocal recipe, snapshots
-        recipe, snapshots, out = _reduction(h, g)
-        return out, [min(pre) for _, pre in recipe.identification]
-
-    out, reduced = _checked_reduction(h, g, build)
+    labels = _gram_labels(g)
+    out, reps, reduced = _checked_reduction(h, g, labels)
+    recipe = _labels_recipe(labels, reps)
+    snapshots = _snapshots(h, _validate_recipe(h, recipe), out)
     return ReductionTrace(h, g, recipe, snapshots, out, reduced)
 
 
@@ -389,21 +386,13 @@ def _refine(adj, lab: list, cell: list, size: list, pending: list) -> tuple:
 
 def _orbit_roots(members: list[int], gens: list[list[int]]) -> dict[int, int]:
     """Orbit representative of each member under the group ``gens`` generate
-    (every generator maps ``members`` onto itself)."""
-    root = {x: x for x in members}
-
-    def find(x: int) -> int:
-        while root[x] != x:
-            root[x] = root[root[x]]
-            x = root[x]
-        return x
-
-    for g in gens:
-        for x in members:
-            a, b = find(x), find(g[x])
-            if a != b:
-                root[max(a, b)] = min(a, b)
-    return {x: find(x) for x in members}
+    (every generator maps ``members`` onto itself): the first member of its
+    orbit."""
+    root: dict[int, int] = {}
+    for x in members:
+        if x not in root:
+            root.update(dict.fromkeys(orbit(x, lambda u: (g[u] for g in gens)), x))
+    return root
 
 
 def isomorphism_key(h: Hypergraph) -> tuple:
@@ -531,11 +520,12 @@ class DescentReport:
     distinct identity-labeled minimal output encountered on the way (the
     same structure reappears under many labelings, one per reduction
     path).  Orbit pruning leaves it whole: the orbit-mates of a signature
-    with a minimal child build their own children, from bit masks, to add
-    their copies.  Only one labelled copy of each intermediate class is
-    expanded, and which one depends on the input's labels, so on deeper
-    searches ``len(labeled_copies)`` does too: relabellings of one input
-    can give different counts while the classes, nodes and matrices agree.
+    with a minimal child build their own children, with the kernel
+    ``apply_recipe`` and ``reduce_with`` use, to add their copies.  Only
+    one labelled copy of each intermediate class is expanded, and which
+    one depends on the input's labels, so on deeper searches
+    ``len(labeled_copies)`` does too: relabellings of one input can give
+    different counts while the classes, nodes and matrices agree.
     ``nodes_expanded`` counts scanned hypergraphs and
     ``matrices_inspected`` the magic matrices their scans went through,
     pruned signatures included.  ``already_minimal`` is true when the
@@ -552,9 +542,9 @@ class DescentReport:
 
 def _row_labels(block: np.ndarray) -> np.ndarray:
     """Per matrix of a (count, m, W) uint64 block, each row's label: the
-    least index of a row equal to it, or m for a zero row.  Equal label
-    vectors mean equal signatures; returns (count, m) labels in the least
-    unsigned dtype that holds m."""
+    least index of a row equal to it, or m for a zero row.  A label vector
+    is the matrix's reduction signature (``_gram_labels`` of one matrix);
+    returns (count, m) labels in the least unsigned dtype that holds m."""
     keys = _row_keys(block)
     count, m = keys.shape
     order = np.argsort(keys, axis=1, kind="stable")
@@ -570,15 +560,6 @@ def _row_labels(block: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _labels_signature(labels: list[int], m: int) -> tuple:
-    """The signature (zero rows, equal-row classes) of a ``_row_labels`` vector."""
-    classes: dict[int, list[int]] = {}
-    for i, label in enumerate(labels):
-        classes.setdefault(label, []).append(i)
-    zero = tuple(classes.pop(m, ()))
-    return zero, tuple(sorted(tuple(c) for c in classes.values()))
-
-
 def _reducible_signatures(
     h: Hypergraph,
     offset: BitMatrix,
@@ -589,11 +570,12 @@ def _reducible_signatures(
 ):
     """Yield one (signature, matrix) per distinct reduction outcome.
 
-    Signature = (deleted set, equal-row partition).  Up to the cap the
-    whole magic space is scanned in binary order, one ``_span_blocks``
-    block at a time, at any row width; each block's reducible matrices
-    are labelled by signature together (``_row_labels``) and the first
-    matrix of every new signature is yielded.  Beyond the cap, every
+    A signature is the matrix's row labels (``_row_labels``) as a tuple,
+    which fixes the deleted set and the equal-row partition.  Up to the
+    cap the whole magic space is scanned in binary order, one
+    ``_span_blocks`` block at a time, at any row width; each block's
+    reducible matrices are labelled together and the first matrix of
+    every new signature is yielded.  Beyond the cap, every
     reducible matrix lies in a zero-row or equal-row affine slice, and up
     to 2^12 matrices of each solvable slice are sampled as one block: its
     particular solution shifted by the span of its first 12 kernel
@@ -618,7 +600,7 @@ def _reducible_signatures(
             key = keys[k * step : (k + 1) * step]
             if key not in seen:
                 seen.add(key)
-                yield _labels_signature(labels[k].tolist(), m), _matrix_of_words(m, reducible[k])
+                yield tuple(labels[k].tolist()), _matrix_of_words(m, reducible[k])
 
     if d <= gram_cap:
         for block in _span_blocks(_words(offset, width), vecs, _block_low(m * width)):
@@ -644,27 +626,17 @@ def _reducible_signatures(
         yield from new_signatures(block.reshape(-1, m, width))
 
 
-def _signature_labels(sig: tuple, m: int) -> tuple[int, ...]:
-    """A signature (zero rows, equal-row classes) as ``_row_labels`` writes
-    it: per vertex the least vertex of its class, m for a zero row."""
-    labels = [m] * m
-    for c in sig[1]:
-        for v in c:
-            labels[v] = c[0]
-    return tuple(labels)
-
-
 def _signature_orbit(labels: tuple[int, ...], gens: list[list[int]]) -> list[tuple]:
-    """Every image of a reduction signature, as ``_signature_labels``,
-    under the group ``gens`` generate (vertex permutations), found
-    breadth-first from ``labels``.
+    """Every image of a reduction signature (row labels) under the group
+    ``gens`` generate (vertex permutations), found breadth-first from
+    ``labels``.
 
-    An automorphism maps a matrix with signature (zero rows, equal-row
-    classes) to one whose signature is the image, with an isomorphic
-    reduction, so a whole orbit reduces to one isomorphism class.  The
-    inverses of the generators generate the same group, and the image
-    under g's inverse gives vertex v the class of g[v]: relabelled by
-    first occurrence, each class takes its least vertex.
+    An automorphism maps a matrix with a signature to one whose signature
+    is the image, with an isomorphic reduction, so a whole orbit reduces
+    to one isomorphism class.  The inverses of the generators generate
+    the same group, and the image under g's inverse gives vertex v the
+    class of g[v]: relabelled by first occurrence, each class takes its
+    least vertex.
     """
     m = len(labels)
 
@@ -709,14 +681,15 @@ def find_minimal_descendants(
     Within a node, reductions are pruned by orbits (isomorph rejection,
     McKay, J. Algorithms 26, 1998): the certificate search of every node
     also yields automorphisms of it, which permute its reduction
-    signatures, and signatures in one orbit give isomorphic children.
-    Only the first signature of each orbit in scan order is reduced and
-    classed; its orbit-mates reuse that class, and build their child only
-    when the class is minimal, to add their labelled copy.  The first
-    child of every class comes from the first signature of its orbit, so
-    the report is the one the unpruned search gives.  Every child is built
-    from its signature's bit masks (``_child``), and every first reduction
-    passes the checks ``reduce_with`` makes (``_checked_reduction``).
+    signatures (row labels), and signatures in one orbit give isomorphic
+    children.  Only the first signature of each orbit in scan order is
+    reduced and classed; its orbit-mates reuse that class, and build their
+    child only when the class is minimal, to add their labelled copy.  The
+    first child of every class comes from the first signature of its
+    orbit, so the report is the one the unpruned search gives.  Every
+    child is built by ``_child``, the kernel ``apply_recipe`` and
+    ``reduce_with`` share, and every first reduction passes the checks
+    ``reduce_with`` makes (``_checked_reduction``).
     """
     t0 = time.monotonic()
     deadline = None if max_seconds is None else t0 + max_seconds
@@ -744,21 +717,20 @@ def find_minimal_descendants(
             if len(sp.nonmagic_basis) > gram_cap:
                 complete = False
             children = []
-            orbit_class: dict[tuple, tuple] = {}  # signature labels -> its child's certificate
+            orbit_class: dict[tuple, tuple] = {}  # signature -> its child's certificate
             found = False
-            for sig, matrix in _reducible_signatures(
+            for labels, matrix in _reducible_signatures(
                 current, sp.magic_offset, sp.nonmagic_basis, gram_cap, stats, deadline
             ):
                 found = True
                 _check_deadline(deadline)
-                labels = _signature_labels(sig, current.vertex_count)
                 cert = orbit_class.get(labels)
                 if cert is not None:
                     if is_minimal_class[cert]:
-                        child = _child(current, sig)[0]
+                        child = _child(current, labels)[0]
                         labeled.setdefault(canonical_edges(child), child)
                     continue
-                child, _ = _checked_reduction(current, matrix, lambda: _child(current, sig))
+                child = _checked_reduction(current, matrix, labels)[0]
                 edges = canonical_edges(child)
                 cert = certificates.get(edges)
                 if cert is None:

@@ -11,7 +11,7 @@ from magicsets.assign import assignment_from_gram
 from magicsets.gf2 import BitMatrix, BitVector, Echelon, _rank_rows, null_space_basis
 from magicsets.gram import is_reduced, valid_gram_space
 from magicsets.hypergraph import Hypergraph
-from magicsets.reduce import reduce_with
+from magicsets.reduce import ReductionRecipe, ReductionSnapshots, _validate_recipe, reduce_with
 
 
 @pytest.fixture(autouse=True)
@@ -366,19 +366,75 @@ def loop_defect_systems(offset: BitMatrix, basis):
             yield ("equal", i, j), eqs, rhs
 
 
-def row_signature(rows) -> tuple | None:
-    """(zero rows, equal-row classes) of a matrix's rows, or None when it
-    has neither a zero row nor two equal rows."""
+def row_labels(rows) -> tuple[int, ...]:
+    """Per row the least index of a row equal to it, or the row count for
+    a zero row: a matrix's reduction signature."""
+    first = {0: len(rows)}
+    return tuple(first.setdefault(r, i) for i, r in enumerate(rows))
+
+
+def row_signature(rows) -> tuple[int, ...] | None:
+    """The ``row_labels`` of a matrix's rows, or None when it has neither
+    a zero row nor two equal rows."""
+    labels = row_labels(rows)
+    return None if labels == tuple(range(len(rows))) else labels
+
+
+def replay(h: Hypergraph, mapping: dict[int, int]) -> tuple[ReductionSnapshots, Hypergraph]:
+    """A recipe's old-vertex -> new-vertex map run on edge lists, stage by
+    stage: delete, identify, drop vertices of even multiplicity, keep the
+    contexts of odd count in first-occurrence order.  How ``reduce`` ran
+    every reduction before the bit-mask kernel, kept as its oracle."""
+    after_deletion = tuple(tuple(v for v in e if v in mapping) for e in h.edges)
+    after_identification = tuple(tuple(sorted(mapping[v] for v in e)) for e in after_deletion)
+    after_vertex_mod2 = tuple(
+        tuple(sorted(v for v in set(e) if e.count(v) % 2 == 1)) for e in after_identification
+    )
+    counts: dict[tuple[int, ...], int] = {}
+    for e in after_vertex_mod2:
+        counts[e] = counts.get(e, 0) + 1
+    after_edge_mod2 = tuple(e for e in counts if e and counts[e] % 2 == 1)
+    out = Hypergraph(max(mapping.values(), default=0), after_edge_mod2)
+    snapshots = ReductionSnapshots(after_deletion, after_identification, after_vertex_mod2, after_edge_mod2)
+    return snapshots, out
+
+
+def gram_recipe(g: BitMatrix) -> ReductionRecipe:
+    """The recipe g dictates, from its rows: zero rows are deleted,
+    equal-row classes merge and take new ids by least vertex."""
     classes: dict[int, list[int]] = {}
-    zero = []
-    for i, r in enumerate(rows):
-        if r == 0:
-            zero.append(i)
-        else:
-            classes.setdefault(r, []).append(i)
-    if not zero and all(len(c) == 1 for c in classes.values()):
-        return None
-    return tuple(zero), tuple(sorted(tuple(c) for c in classes.values()))
+    for i, row in enumerate(g.rows):
+        if row:
+            classes.setdefault(row, []).append(i + 1)
+    deleted = [i + 1 for i, row in enumerate(g.rows) if row == 0]
+    ordered = sorted(classes.values(), key=min)
+    return ReductionRecipe.build(deleted, {new + 1: pre for new, pre in enumerate(ordered)})
+
+
+def reduction(h: Hypergraph, g: BitMatrix) -> tuple:
+    """(recipe, snapshots, output, restricted matrix) of the reduction g
+    dictates, by ``replay``, unchecked: vertices whose every context
+    cancels in the mod-2 steps are folded into the deletions and the
+    recipe replayed, and g is restricted to the least vertex of each
+    remaining class.  The oracle of ``reduce_with``'s trace."""
+    recipe = gram_recipe(g)
+    snapshots, out = replay(h, _validate_recipe(h, recipe))
+    isolated = [v + 1 for v, d in enumerate(out.degrees()) if d == 0]
+    if isolated:
+        classes = dict(recipe.identification)
+        extra_deleted = [v for new in isolated for v in classes.pop(new)]
+        survivors = sorted(classes.values(), key=min)
+        recipe = ReductionRecipe.build(
+            sorted(recipe.deleted_vertices | set(extra_deleted)),
+            {i + 1: pre for i, pre in enumerate(survivors)},
+        )
+        snapshots, out = replay(h, _validate_recipe(h, recipe))
+    reps = [min(pre) - 1 for _, pre in recipe.identification]
+    reduced = BitMatrix(
+        len(reps),
+        tuple(sum(((g.rows[a] >> b) & 1) << jb for jb, b in enumerate(reps)) for a in reps),
+    )
+    return recipe, snapshots, out, reduced
 
 
 def doubling_signatures(offset: BitMatrix, basis, stats: dict):

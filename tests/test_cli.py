@@ -47,6 +47,7 @@ MALFORMED_DOCUMENTS = [
     (["orbits"], {"degree": 3, "generators": 5}),
     (["orbits"], {"degree": "x", "generators": [[1, 2, 3]]}),
     (["orbits"], {"degree": 3, "generators": [[1, "a", 3]]}),
+    (["reduce", "--recipe"], {"identify": {"a": [1, 2]}}),
 ]
 
 
@@ -179,6 +180,17 @@ class TestCheck:
 
 
 class TestBound:
+    def test_negative_decimals_are_refused(self, ms3_27b_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bound", ms3_27b_file, "--hypergraph-level", "--decimals", "-1"])
+        assert exc.value.code == 2
+        assert "--decimals: must be at least 0, got -1" in capsys.readouterr().err
+
+    def test_zero_decimals(self, ms5_26_files, capsys):
+        hpath, apath = ms5_26_files
+        assert main(["bound", hpath, "--assignment", apath, "--decimals", "0"]) == 0
+        assert "epsilon = 0    " in capsys.readouterr().out
+
     def test_with_assignment_file(self, ms5_26_files, capsys):
         hpath, apath = ms5_26_files
         assert main(["bound", hpath, "--assignment", apath, "--decimals", "1"]) == 0
@@ -279,6 +291,22 @@ class TestReduce:
         rpath = tmp_path / "recipe.json"
         rpath.write_text(json.dumps({"delete": [1], "identify": {"1": [1]}}))
         assert main(["reduce", ms3_27b_file, "--recipe", str(rpath)]) == 2
+
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--max-nodes", "-3", "must be at least 0, got -3"),
+            ("--max-seconds", "-1", "must be at least 0, got -1.0"),
+            ("--max-seconds", "nan", "must be at least 0, got nan"),
+            ("--max-seconds", "soon", "invalid float value: 'soon'"),
+        ],
+        ids=["nodes", "seconds", "nan-seconds", "text-seconds"],
+    )
+    def test_negative_budgets_are_refused(self, ms3_27b_file, capsys, option, value, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["reduce", ms3_27b_file, "--search", option, value])
+        assert exc.value.code == 2
+        assert f"{option}: {message}" in capsys.readouterr().err
 
 
 class TestPlanarity:

@@ -29,8 +29,8 @@ from magicsets.reduce import (
     _child,
     _key_and_gens,
     _reducible_signatures,
-    _reduction,
     _row_labels,
+    _validate_recipe,
     apply_recipe,
     are_isomorphic,
     canonical_edges,
@@ -46,8 +46,11 @@ from conftest import (
     hb_descendants,
     magic_descendant,
     random_proper_eulerian,
+    reduction,
     relabelled,
+    replay,
     rigid_blocks,
+    row_labels,
     row_signature,
     seeded_magic_grams,
 )
@@ -152,8 +155,69 @@ class TestApplyRecipe:
         again = ReductionRecipe.from_json_dict(r.to_json_dict())
         assert again == r
 
+    def test_non_integer_identify_key_is_recipe_error(self):
+        with pytest.raises(RecipeError, match="\"identify\" key 'a' is not an integer vertex id"):
+            ReductionRecipe.from_json_dict({"identify": {"a": [1, 2]}})
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_replay(self, data):
+        # Repeated vertices and empty contexts; per vertex a class, 0 to
+        # delete it, merged under shuffled new ids or compacted in order.
+        m = data.draw(st.integers(1, 9), label="m")
+        edges = data.draw(
+            st.lists(st.lists(st.integers(1, m), max_size=5), min_size=1, max_size=10), label="edges"
+        )
+        h = Hypergraph.from_edges(edges, m)
+        classes = data.draw(st.lists(st.integers(0, m), min_size=m, max_size=m), label="classes")
+        deleted = [v for v, c in enumerate(classes, 1) if c == 0]
+        identification = None
+        if data.draw(st.booleans(), label="identify"):
+            kept = sorted(set(classes) - {0})
+            ids = data.draw(st.permutations(range(1, len(kept) + 1)), label="ids")
+            identification = {
+                new: [v for v, c in enumerate(classes, 1) if c == k] for new, k in zip(ids, kept)
+            }
+        recipe = ReductionRecipe.build(deleted, identification)
+        out = apply_recipe(h, recipe)
+        want = replay(h, _validate_recipe(h, recipe))[1]
+        assert out == want
+        assert out.vertex_count == want.vertex_count
+
+
+def relabelled_with_gram(h: Hypergraph, g: BitMatrix, rng: random.Random) -> tuple:
+    """h and its Gram matrix g under one random vertex permutation, the
+    contexts shuffled."""
+    m = h.vertex_count
+    perm = list(range(m))
+    rng.shuffle(perm)
+    edges = [[perm[v - 1] + 1 for v in e] for e in h.edges]
+    rng.shuffle(edges)
+    rows = [0] * m
+    for i, r in enumerate(g.rows):
+        rows[perm[i]] = sum(((r >> j) & 1) << perm[j] for j in range(m))
+    return Hypergraph.from_edges(edges, m), BitMatrix(m, tuple(rows))
+
 
 class TestReduceWith:
+    def test_trace_matches_replay_oracle(self, entries):
+        # The published pull-backs that are Gram matrices of their parent
+        # (MS4-21b's is not valid on HC), each under three relabellings,
+        # and 24 seeded reductions of HB, one of which leaves an isolated
+        # class to fold into the deletions.
+        rng = random.Random(88)
+        cases = []
+        for name in ["MS6-35", "MS3-29", "MS5-26", "MS3-27b"]:
+            child = entries[name]
+            parent = entries[child.recipe_parent]
+            h, g = parent.hypergraph, pulled_back_gram(parent, child)
+            cases += [(h, g)] + [relabelled_with_gram(h, g, rng) for _ in range(3)]
+        hb = entries["HB"].hypergraph
+        cases += [(hb, g) for g in seeded_magic_grams(hb, random.Random(89), 40) if not is_reduced(g)]
+        for h, g in cases:
+            trace = reduce_with(h, g)
+            assert (trace.recipe, trace.snapshots, trace.output, trace.reduced_gram) == reduction(h, g)
+
     def test_hd_to_ms3_27b_exact(self, entries):
         hd, child = entries["HD"], entries["MS3-27b"]
         g = pulled_back_gram(hd, child)
@@ -238,20 +302,17 @@ class TestRecipeFromGram:
         assert recipe.deleted_vertices == frozenset()
 
 
-def signature_and_gram(labels: list[int]) -> tuple[tuple, BitMatrix]:
-    """The signature of a per-vertex labelling (0 a zero row, equal labels
-    one class) and a matrix with that signature: row i is label i."""
-    classes: dict[int, list[int]] = {}
-    for i, label in enumerate(labels):
-        classes.setdefault(label, []).append(i)
-    zero = tuple(classes.pop(0, ()))
-    sig = zero, tuple(sorted(tuple(c) for c in classes.values()))
-    return sig, BitMatrix(len(labels), tuple(labels))
+def signature_and_gram(values: list[int]) -> tuple[tuple[int, ...], BitMatrix]:
+    """The row labels of a per-vertex classing (0 a zero row, equal values
+    one class) and a matrix with those labels: row i is value i."""
+    g = BitMatrix(len(values), tuple(values))
+    return row_labels(g.rows), g
 
 
 class TestChildKernel:
-    """The mask-built child is ``_reduction``'s output, isolated classes and
-    the replayed context order included."""
+    """The mask-built child is the tuple replay's output (conftest
+    ``reduction``), isolated classes and the replayed context order
+    included."""
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
@@ -262,22 +323,22 @@ class TestChildKernel:
             label="edges",
         )
         h = Hypergraph.from_edges(edges, m)
-        labels = data.draw(st.lists(st.integers(0, m), min_size=m, max_size=m), label="labels")
-        sig, g = signature_and_gram(labels)
-        recipe, _, out = _reduction(h, g)
-        child, reps = _child(h, sig)
+        values = data.draw(st.lists(st.integers(0, m), min_size=m, max_size=m), label="values")
+        labels, g = signature_and_gram(values)
+        recipe, _, out, _ = reduction(h, g)
+        child, reps = _child(h, labels)
         assert child == out
-        assert reps == [min(pre) for _, pre in recipe.identification]
+        assert reps == [min(pre) - 1 for _, pre in recipe.identification]
 
     def test_isolated_class_merges_contexts(self):
         # Vertex 5 cancels with its two contexts, leaving (1,2) three
         # times: it now leads, where the first pass kept (3,4) first.
         h = Hypergraph.from_edges([(1, 2, 5), (3, 4), (1, 2), (1, 2, 5)], 5)
-        sig, g = signature_and_gram([1, 2, 3, 4, 5])
-        child, reps = _child(h, sig)
-        assert child == _reduction(h, g)[2]
+        labels, g = signature_and_gram([1, 2, 3, 4, 5])
+        child, reps = _child(h, labels)
+        assert child == reduction(h, g)[2]
         assert (child.vertex_count, child.edges) == (4, ((1, 2), (3, 4)))
-        assert reps == [1, 2, 3, 4]
+        assert reps == [0, 1, 2, 3]
 
 
 class TestDescendants:
@@ -573,7 +634,8 @@ def descent_inputs(entries) -> list[tuple[Hypergraph, int]]:
 
 
 class TestDescentChildren:
-    """What the search builds, against ``reduce_with`` as the oracle."""
+    """What the search builds, against the tuple replay (conftest
+    ``reduction``) as the oracle."""
 
     def test_every_child_is_reduce_with_output(self, entries, monkeypatch):
         matrices: dict = {}  # (node, signature) -> the scan's matrix
@@ -581,13 +643,13 @@ class TestDescentChildren:
         scan, kernel = reduce._reducible_signatures, reduce._child
 
         def recording_scan(h, *args):
-            for sig, matrix in scan(h, *args):
-                matrices[id(h), sig] = h, matrix
-                yield sig, matrix
+            for labels, matrix in scan(h, *args):
+                matrices[id(h), labels] = h, matrix
+                yield labels, matrix
 
-        def recording_kernel(h, sig):
-            out = kernel(h, sig)
-            built.append((h, sig, out[0]))
+        def recording_kernel(h, labels):
+            out = kernel(h, labels)
+            built.append((h, labels, out[0]))
             return out
 
         monkeypatch.setattr(reduce, "_reducible_signatures", recording_scan)
@@ -596,10 +658,10 @@ class TestDescentChildren:
             built.clear()
             find_minimal_descendants(h, max_nodes=budget, max_seconds=None)
             assert built
-            for node, sig, child in built:
-                parent, matrix = matrices[id(node), sig]
+            for node, labels, child in built:
+                parent, matrix = matrices[id(node), labels]
                 assert parent is node
-                assert child == reduce_with(node, matrix).output
+                assert child == reduction(node, matrix)[2]
 
     def test_one_certificate_per_labelled_child(self, entries, monkeypatch):
         children: list = []
