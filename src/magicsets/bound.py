@@ -78,20 +78,41 @@ def format_epsilon(eps: Fraction, decimals: int = 2) -> str:
     return f"{float(eps):.{decimals}f}"
 
 
-def _witness_from_x(m: int, x_bits: int) -> tuple[int, ...]:
-    return tuple(-1 if (x_bits >> i) & 1 else 1 for i in range(m))
+def _checked_signs(h: Hypergraph, c: BitVector) -> None:
+    """Raise unless h is proper Eulerian and c has one sign per context."""
+    ok, diag = is_proper_eulerian(h)
+    if not ok:
+        raise NotProperEulerianError(diag)
+    if c.length != h.num_edges:
+        raise ValueError(f"sign vector length {c.length}, expected {h.num_edges}")
 
 
-def _check_witness(h: Hypergraph, c: BitVector, witness: tuple[int, ...], b: int) -> None:
+def _report(h: Hypergraph, c: BitVector, b: int, x: int, method: str, exact: bool) -> BoundReport:
+    """The report of bound b for signs c, witnessed by the assignment that
+    is -1 on the vertices of x's set bits (vertex v is bit v - 1) and +1
+    elsewhere; AssertionError when that assignment does not reach b."""
+    n = h.num_edges
+    witness = tuple(-1 if (x >> i) & 1 else 1 for i in range(h.vertex_count))
     total = 0
     for j, e in enumerate(h.edges):
-        prod = 1
+        prod = -1 if c[j] else 1
         for v in e:
             prod *= witness[v - 1]
-        sign_alpha = -1 if c[j] else 1
-        total += sign_alpha * prod
+        total += prod
     if total != b:
         raise AssertionError(f"witness reaches {total}, expected {b}")
+    w_min = (n - b) // 2
+    return BoundReport(
+        b=b,
+        Q=n,
+        w_min=w_min,
+        s=n - w_min,
+        epsilon=tolerated_error(b, n),
+        witness=witness,
+        method=method,
+        exact=exact,
+        magic_signs=c.weight() % 2 == 1,
+    )
 
 
 def noncontextual_bound(h: Hypergraph, c: BitVector) -> BoundReport:
@@ -102,15 +123,10 @@ def noncontextual_bound(h: Hypergraph, c: BitVector) -> BoundReport:
     ``coset_min_weight`` the report carries the best bound found, flagged
     inexact.
     """
-    ok, diag = is_proper_eulerian(h)
-    if not ok:
-        raise NotProperEulerianError(diag)
-    n = h.num_edges
-    if c.length != n:
-        raise ValueError(f"sign vector length {c.length}, expected {n}")
+    _checked_signs(h, c)
     M = incidence_matrix(h)
     try:
-        _, y = coset_min_weight([BitVector(n, r) for r in M.rows], c)
+        _, y = coset_min_weight([BitVector(c.length, r) for r in M.rows], c)
     except CosetTooLargeError as err:
         return _coset_bound(h, M, c, err.best_witness, False)
     return _coset_bound(h, M, c, y, True)
@@ -120,25 +136,10 @@ def _coset_bound(h: Hypergraph, M: BitMatrix, c: BitVector, y: BitVector, exact:
     """``noncontextual_bound`` of c, for M the incidence matrix of h, from
     y, the least-weight element of c + row(M) its caller found (the
     lightest it found when ``exact`` is False)."""
-    n = h.num_edges
-    w_min = y.weight()
     x = row_combination(M.rows, y.bits ^ c.bits)
     if x is None:
         raise AssertionError("coset witness not reachable from the row space")
-    b = n - 2 * w_min
-    witness = _witness_from_x(h.vertex_count, x)
-    _check_witness(h, c, witness, b)
-    return BoundReport(
-        b=b,
-        Q=n,
-        w_min=w_min,
-        s=n - w_min,
-        epsilon=tolerated_error(b, n),
-        witness=witness,
-        method="coset",
-        exact=exact,
-        magic_signs=c.weight() % 2 == 1,
-    )
+    return _report(h, c, h.num_edges - 2 * y.weight(), x, "coset", exact)
 
 
 def brute_force_bound(
@@ -150,12 +151,8 @@ def brute_force_bound(
     directly (vectorized in blocks).  The witness is the smallest bitmask
     attaining the maximum.
     """
-    ok, diag = is_proper_eulerian(h)
-    if not ok:
-        raise NotProperEulerianError(diag)
+    _checked_signs(h, c)
     m, n = h.vertex_count, h.num_edges
-    if c.length != n:
-        raise ValueError(f"sign vector length {c.length}, expected {n}")
     if m > cap:
         raise ValueError(f"{m} vertices exceed the brute-force cap {cap}")
     edge_masks = []
@@ -180,20 +177,7 @@ def brute_force_bound(
         if best is None or total[i] > best:
             best = int(total[i])
             best_x = start + i
-    w_min = (n - best) // 2
-    witness = _witness_from_x(m, best_x)
-    _check_witness(h, c, witness, best)
-    return BoundReport(
-        b=best,
-        Q=n,
-        w_min=w_min,
-        s=n - w_min,
-        epsilon=tolerated_error(best, n),
-        witness=witness,
-        method="brute-force",
-        exact=True,
-        magic_signs=c.weight() % 2 == 1,
-    )
+    return _report(h, c, best, best_x, "brute-force", True)
 
 
 @dataclass(frozen=True)
@@ -278,8 +262,8 @@ def hypergraph_bound(h: Hypergraph, pauli_only: bool = True) -> HypergraphBoundR
     contexts, in stored order, is (-1)^<c, y> I.  Sorting that word by
     vertex swaps adjacent P_a, P_b at a sign (-1)^G_ab each; every P_v then
     occurs an even number of times and the sorted word is I.  So <c, y> is
-    the inversion parity of G over y's concatenation, the ``magic_parity``
-    functional restricted to y, which is linear in G.  The coset's
+    the inversion parity of G over y's concatenation, the magic parity
+    (``gram.fast_magic_parity``) restricted to y, which is linear in G.  The coset's
     representative ``Echelon(M.rows).reduce(c)`` is supported on the free
     columns, and the cycle basis ``null_space_basis(M)`` has one vector
     y_f per free column f, whose only free column, and highest set bit, is
@@ -302,16 +286,12 @@ def hypergraph_bound(h: Hypergraph, pauli_only: bool = True) -> HypergraphBoundR
     its search found.  A search past its cap (dimension above
     ``DEFAULT_COSET_CAP``) degrades to a flagged upper bound on its weight.
     """
-    ok, diag = is_proper_eulerian(h)
-    if not ok:
-        raise NotProperEulerianError(diag)
+    space = _magic_space(h)  # NotProperEulerianError before NoMagicGramError
     n = h.num_edges
     M = incidence_matrix(h)
     ech = Echelon(M.rows)
     codim = n - ech.rank
     grams_checked = None
-
-    space = _magic_space(h)
 
     if pauli_only:
         r0, gens = _pauli_sign_cosets(h, space, ech)

@@ -191,20 +191,21 @@ def _signs_from_args(h: Hypergraph, args) -> BitVector:
 
 
 def cmd_bound(args) -> int:
+    if args.all_assignments and not args.hypergraph_level:
+        raise InputError("--all-assignments needs --hypergraph-level")
     h = load_hypergraph(args.file)
     if args.hypergraph_level:
         hrep = hypergraph_bound(h, pauli_only=not args.all_assignments)
-        rep = hrep.report
-        doc = hrep.to_json_dict()
+        rep, c, doc = hrep.report, hrep.maximizing_signs, hrep.to_json_dict()
     else:
         c = _signs_from_args(h, args)
         rep = noncontextual_bound(h, c)
         doc = rep.to_json_dict()
-        if args.brute_force:
-            oracle = brute_force_bound(h, c)
-            doc["brute_force_b"] = oracle.b
-            if oracle.b != rep.b:
-                raise AssertionError(f"oracle disagrees: coset {rep.b}, brute force {oracle.b}")
+    if args.brute_force:
+        oracle = brute_force_bound(h, c)
+        doc["brute_force_b"] = oracle.b
+        if oracle.b != rep.b:
+            raise AssertionError(f"oracle disagrees: coset {rep.b}, brute force {oracle.b}")
     eps = format_epsilon(rep.epsilon, args.decimals)
     lines = [f"b/Q = {rep.b}/{rep.Q}    epsilon = {eps}    w_min = {rep.w_min}"]
     if not rep.exact:
@@ -392,13 +393,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all-assignments", action="store_true",
                    help="with --hypergraph-level: all odd cosets, not only Pauli ones")
     p.add_argument("--brute-force", action="store_true",
-                   help="also run the 2^m oracle and cross-check")
+                   help="also run the 2^m oracle and cross-check (with --hypergraph-level: "
+                   "at the maximizing signs)")
     p.add_argument("--decimals", type=_cap(int), default=2)
 
     p = command("reduce", cmd_reduce, "apply a recipe or search for minimal descendants")
     p.add_argument("file")
-    p.add_argument("--recipe", help="recipe JSON file")
-    p.add_argument("--search", action="store_true")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--recipe", help="recipe JSON file")
+    mode.add_argument("--search", action="store_true")
     p.add_argument("--max-nodes", type=_cap(int), default=10_000)
     p.add_argument("--max-seconds", type=_cap(float), default=3600.0)
 

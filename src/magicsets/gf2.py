@@ -6,13 +6,13 @@ deterministic; values are immutable after construction.
 
 Elimination runs through one kernel, ``Echelon``, whose pivot is always
 a row's lowest set bit.  The convention is load-bearing: it fixes the
-reduced echelon form, hence the null-space basis ``_null_vectors`` reads
-off it (the valid Gram basis comes straight from it, and through that
-every magic witness, synthesized assignment and maximizing sign pattern
-the CLI prints; ``null_space_basis`` wraps the same read-off) and the
-coset representatives of ``Echelon.reduce``, hence ``SyndromeTable``'s
-syndromes.  Only the rank does not depend on it, so ``rank`` pivots on
-the highest bit.
+free columns, hence the kernel vectors ``_kernel_vectors`` reads off the
+stored rows by back-substitution, one per free column (the valid Gram
+basis and magic offset come straight from them, and through those every
+magic witness, synthesized assignment and maximizing sign pattern the CLI
+prints; ``null_space_basis`` wraps the same read-off), and the coset
+representatives of ``Echelon.reduce``, hence ``SyndromeTable``'s
+syndromes.
 
 Affine systems are solved in column form by one kernel,
 ``_row_combinations``, an echelon of the columns each tagged with its
@@ -236,40 +236,17 @@ class Echelon:
         return sorted(reduced.items())
 
 
-def _top_basis(rows: Iterable[int]) -> dict[int, int]:
-    """An echelon basis of the span of rows, keyed by each row's highest set bit."""
-    basis: dict[int, int] = {}
-    for _ in _top_insert(basis, rows):
-        pass
-    return basis
-
-
-def _top_insert(basis: dict[int, int], rows: Iterable[int]) -> Iterator[bool]:
-    """Insert rows into ``basis`` (a ``_top_basis``) one at a time; per row,
-    True iff it is independent of the rows before it."""
+def _independent(rows: Iterable[int]) -> Iterator[bool]:
+    """Per row, True iff it is independent of the rows before it: one
+    ``Echelon`` fed lazily, so a caller may stop at any row."""
+    ech = Echelon()
     for row in rows:
-        while row:
-            hb = row.bit_length() - 1
-            other = basis.get(hb)
-            if other is None:
-                basis[hb] = row
-                break
-            row ^= other
-        yield bool(row)
-
-
-def _rank_rows(rows: Iterable[int]) -> int:
-    """GF(2) rank of int-bitmask rows.
-
-    Pivots on the highest set bit, which the rank does not depend on and
-    which needs no lowest-bit extraction per step.
-    """
-    return len(_top_basis(rows))
+        yield ech.insert(row)
 
 
 def rank(m: BitMatrix) -> int:
     """GF(2) rank, invariant under row/column permutations."""
-    return _rank_rows(m.rows)
+    return Echelon(m.rows).rank
 
 
 def null_space_basis(m: BitMatrix) -> list[BitVector]:
@@ -278,19 +255,25 @@ def null_space_basis(m: BitMatrix) -> list[BitVector]:
 
 
 def _null_vectors(ech: Echelon, cols: int) -> list[int]:
-    """``null_space_basis`` of the rows ``ech`` spans, over ``cols`` columns.
+    """``null_space_basis`` of the rows ``ech`` spans, over ``cols`` columns."""
+    return _kernel_vectors(ech, [f for f in range(cols) if f not in ech.pivots])
 
-    One vector per free column, in ascending order: the free bit plus the
-    pivot bits of the reduced rows that contain it.
-    """
-    vecs = {free: 1 << free for free in range(cols) if free not in ech.pivots}
-    for p, row in ech.rref():
-        rest = row ^ (1 << p)  # free columns only
-        while rest:
-            low = rest & -rest
-            vecs[low.bit_length() - 1] |= 1 << p
-            rest ^= low
-    return list(vecs.values())
+
+def _kernel_vectors(ech: Echelon, free: Iterable[int]) -> list[int]:
+    """Per free column f of ``ech``, the kernel vector whose only free
+    column is f, by back-substitution: x starts as bit f, and over the
+    stored rows in descending pivot order, pivot p joins x when its row
+    has an odd number of bits in x (a row has no bit below its pivot, and
+    the bits of x above p are final by then)."""
+    rows = sorted(ech.pivots.items(), reverse=True)
+    out = []
+    for f in free:
+        x = 1 << f
+        for p, row in rows:
+            if (row & x).bit_count() & 1:
+                x |= 1 << p
+        out.append(x)
+    return out
 
 
 def in_row_space(m: BitMatrix, v: BitVector) -> bool:
@@ -452,7 +435,12 @@ def _ascending_span(offset: int, basis: Sequence[int]) -> Iterator[int]:
     space in ascending order; step c flips the coefficients below and at
     c's lowest set bit.
     """
-    top = _top_basis(basis)
+    top: dict[int, int] = {}  # an echelon basis keyed by highest set bit
+    for row in basis:
+        while row and row.bit_length() - 1 in top:
+            row ^= top[row.bit_length() - 1]
+        if row:
+            top[row.bit_length() - 1] = row
     tops = sorted(top)
     vecs: list[int] = []  # final vectors, by ascending top
     for hb in tops:
@@ -477,8 +465,9 @@ def _ascending_span(offset: int, basis: Sequence[int]) -> Iterator[int]:
 def _min_weight_dfs(basis: list[tuple[int, int]], offset: int, length: int) -> tuple[int, int]:
     """Branch-and-bound over an echelon basis, pruning on fixed-prefix weight.
 
-    After the first t basis choices, all coordinates below the (t+1)-th pivot
-    are final, which bounds the completion weight from below.
+    ``basis`` is (pivot, row) pairs by ascending pivot, each row zero below
+    its pivot.  After the first t basis choices, all coordinates below the
+    (t+1)-th pivot are final, which bounds the completion weight from below.
     """
     pivots = [p for p, _ in basis]
     rows = [b for _, b in basis]
@@ -543,7 +532,7 @@ def _coset_min_weight(
         w = min(offset.bits.bit_count(), start.bit_count())
         witness = start if start.bit_count() <= offset.bits.bit_count() else offset.bits
         raise CosetTooLargeError(dim, cap, w, BitVector(length, witness))
-    w, v = _min_weight_dfs(ech.rref(), start, length)
+    w, v = _min_weight_dfs(sorted(ech.pivots.items()), start, length)
     return w, BitVector(length, v)
 
 

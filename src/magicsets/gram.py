@@ -14,7 +14,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -23,10 +23,11 @@ from .gf2 import (
     Echelon,
     _block_low,
     _block_ranks,
+    _independent,
+    _kernel_vectors,
     _null_vectors,
-    _rank_rows,
     _span_blocks,
-    _top_insert,
+    rank,
 )
 from .hypergraph import Hypergraph, is_proper_eulerian
 
@@ -143,44 +144,6 @@ def validate_gram(h: Hypergraph, g: BitMatrix) -> list[str]:
     return problems
 
 
-def magic_parity(
-    h: Hypergraph,
-    g: BitMatrix,
-    edge_order: Sequence[int] | None = None,
-    inner_orders: Sequence[Sequence[int]] | None = None,
-    vertex_order: Sequence[int] | None = None,
-) -> int:
-    """Inversion-sum parity over the concatenated context list.
-
-    Contexts are listed jointly (stored edge order by default), and the sum
-    collects g entries over position pairs that are out of order under a
-    total vertex order (natural index order by default).  For a valid Gram
-    matrix the result does not depend on any of the three order choices.
-    """
-    edges = list(h.edges)
-    if edge_order is not None:
-        if sorted(edge_order) != list(range(len(edges))):
-            raise ValueError("edge_order must be a permutation of 0..n-1")
-        edges = [edges[i] for i in edge_order]
-    if inner_orders is not None:
-        edges = [tuple(edges[i][j] for j in perm) for i, perm in enumerate(inner_orders)]
-    rank_of = list(range(h.vertex_count + 1))
-    if vertex_order is not None:
-        if sorted(vertex_order) != list(range(1, h.vertex_count + 1)):
-            raise ValueError("vertex_order must be a permutation of 1..m")
-        for r, v in enumerate(vertex_order):
-            rank_of[v] = r
-    concat = [v for e in edges for v in e]
-    parity = 0
-    for b in range(len(concat)):
-        vb = concat[b]
-        for a in range(b):
-            va = concat[a]
-            if rank_of[va] > rank_of[vb]:
-                parity ^= g.entry(va - 1, vb - 1)
-    return parity
-
-
 @lru_cache(maxsize=4096)
 def _inversion_masks(h: Hypergraph, edges: tuple[int, ...]) -> tuple[int, ...]:
     """Row masks of the inversion-sum functional over the concatenation of
@@ -210,7 +173,8 @@ def _parity_via_masks(rows: Sequence[int], masks: Sequence[int]) -> int:
 
 
 def fast_magic_parity(h: Hypergraph, g: BitMatrix) -> int:
-    """magic_parity under the default orders, via the cached functional."""
+    """The inversion-sum parity of g over the contexts in stored order, via
+    the cached functional; no order changes it for a valid Gram matrix."""
     return _parity_via_masks(g.rows, _inversion_masks(h, tuple(range(h.num_edges))))
 
 
@@ -244,7 +208,7 @@ def valid_gram_space(h: Hypergraph) -> GramSpace:
     column.  An equation is linear in its context's vertex mask, so a
     context whose mask is a GF(2) sum of earlier contexts' masks adds only
     sums of their equations: it is skipped, the contexts kept being those
-    that ``gf2._top_insert`` finds independent of the ones before them.
+    that ``gf2._independent`` finds independent of the ones before them.
     The kept equations stream into one ``Echelon`` column by column,
     highest column first, each column's contexts in stored order, empty
     equations skipped.  They span the row space of the whole system, and
@@ -254,12 +218,11 @@ def valid_gram_space(h: Hypergraph) -> GramSpace:
     is set), so the space is magic iff that parity mask lies outside the
     equations' row space.  Its reduction w by the echelon decides it
     without the kernel: bit f of w is the parity of the kernel vector of
-    free column f.  The offset is the kernel vector of the lowest set bit f0 of w,
-    found by back-substitution over the stored rows in descending pivot
-    order: x starts as bit f0, and pivot p joins x when its row has an
-    odd number of bits in x above p.  That is the first odd vector
-    ``_null_vectors`` would give.  The rest of the kernel waits for the
-    first read of ``GramSpace.nonmagic_basis``.  Only the last hypergraph's
+    free column f.  The offset is the kernel vector of the lowest set bit
+    f0 of w, read off by ``gf2._kernel_vectors``, the back-substitution
+    that ``_null_vectors`` runs for every free column: it is the first odd
+    vector of that basis.  The rest of the kernel waits for the first read
+    of ``GramSpace.nonmagic_basis``.  Only the last hypergraph's
     space is cached: every reuse in the library is consecutive calls on one
     hypergraph (``check`` and the catalog run ``min_qubits``, ``is_minimal``
     and ``hypergraph_bound`` on the same one), and a space whose basis is
@@ -285,7 +248,7 @@ def valid_gram_space(h: Hypergraph) -> GramSpace:
                     parity |= 1 << t
                 pairs.append((i, j))
 
-    independent = _top_insert({}, (sum(1 << v for v in context) for context in members))
+    independent = _independent(sum(1 << v for v in context) for context in members)
     members = [context for context, new in zip(members, independent) if new]
     ech = Echelon()
     for j in reversed(range(m)):
@@ -303,10 +266,7 @@ def valid_gram_space(h: Hypergraph) -> GramSpace:
     w = ech.reduce(parity)
     if not w:
         return GramSpace(h, None, dim, (ech, pairs, parity, 0))
-    x = w & -w
-    for p in sorted(ech.pivots, reverse=True):
-        if ((ech.pivots[p] ^ (1 << p)) & x).bit_count() & 1:
-            x |= 1 << p
+    (x,) = _kernel_vectors(ech, [(w & -w).bit_length() - 1])
     return GramSpace(h, _matrix_from_pair_bits(m, pairs, x), dim, (ech, pairs, parity, x))
 
 
@@ -354,6 +314,22 @@ def _matrix_of_words(m: int, words: np.ndarray) -> BitMatrix:
     return BitMatrix(m, tuple(value))
 
 
+def _space_blocks(
+    offset: BitMatrix, basis: Sequence[BitMatrix], deadline: float | None = None
+) -> Iterator[np.ndarray]:
+    """All matrices of offset + span(basis) as (count, m, W) uint64 blocks
+    of ``_block_low`` matrices each, in binary order: matrix i of the
+    concatenated blocks is offset ^ XOR{basis[l] : bit l of i}.  Raises
+    ``_DeadlineReached`` once ``deadline`` (``time.monotonic``) has
+    passed, checked before each block is yielded."""
+    m = offset.num_rows
+    width = (m + 63) // 64
+    vecs = [_words(b, width) for b in basis]
+    for block in _span_blocks(_words(offset, width), vecs, _block_low(m * width)):
+        _check_deadline(deadline)
+        yield block.reshape(-1, m, width)
+
+
 def _gray_index(x: np.ndarray) -> np.ndarray:
     """The Gray-code step s at which s ^ (s >> 1) == x: prefix XORs of x's bits."""
     s = x.copy()
@@ -375,17 +351,18 @@ def min_qubits(h: Hypergraph, enumeration_cap: int = 24) -> MinQubitsResult:
     offset's rank alone depends on the labels (on HB it is 10 under some
     relabellings, where the least is 6).  The exact scan ranks all 2^d
     matrices offset + span(nonmagic_basis) with ``gf2._block_ranks``, one
-    ``gf2._block_low`` block at a time (2^14 matrices, fewer for wide
+    ``_space_blocks`` block at a time (2^14 matrices, fewer for wide
     matrices), dropping every matrix ranked above the least rank of the
     blocks before, or above the seed bound while no block has kept one, so
     no matrix of least rank is dropped.  The witness is, among the
     matrices of least rank, the one with the least Gray index: Gray step s
     visits coefficient vector s ^ (s >> 1), one basis flip per step from
     the offset at s = 0, and the first matrix of least rank on that walk
-    is the witness.  The sampled branch ranks its candidate list, the
-    offset, then its single and pair basis shifts, in blocks of the same
-    size under the same bounds, and its witness is the first of least rank
-    in that list.
+    is the witness (a matrix's index in the space, whose Gray step that is,
+    counts on from the blocks before).  The sampled branch ranks its
+    candidate list, the offset, then its single and pair basis shifts, in
+    blocks of the same size under the same bounds, and its witness is the
+    first of least rank in that list.
     """
     space = _magic_space(h)
     offset = space.magic_offset
@@ -395,33 +372,33 @@ def min_qubits(h: Hypergraph, enumeration_cap: int = 24) -> MinQubitsResult:
     width = (m + 63) // 64
     low = _block_low(m * width)
 
-    seed = _rank_rows(offset.rows)
+    seed = rank(offset)
     for b in space.nonmagic_basis:
         # A shift lowers the seed only if its rank stays below it.
-        rank = 0
-        for independent in _top_insert({}, [x ^ y for x, y in zip(offset.rows, b.rows)]):
-            rank += independent
-            if rank >= seed:
+        r = 0
+        for independent in _independent(x ^ y for x, y in zip(offset.rows, b.rows)):
+            r += independent
+            if r >= seed:
                 break
         else:
-            seed = rank
+            seed = r
 
     if d <= enumeration_cap:
         if not d:
             return MinQubitsResult(seed // 2, True, offset, 1, 1)
-        basis = [_words(b, width) for b in space.nonmagic_basis]
         best = None  # (rank, Gray index, words)
-        for number, block in enumerate(_span_blocks(_words(offset, width), basis, low)):
+        start = 0  # index in the space of the block's first matrix
+        for block in _space_blocks(offset, space.nonmagic_basis):
             bound = seed if best is None else best[0]
-            ranks, index = _block_ranks(block.reshape(-1, m, width), bound)
-            if not len(ranks):
-                continue
-            r = int(ranks.min())
-            tied = index[ranks == r]
-            gray = _gray_index(tied.astype(np.uint64) | np.uint64(number << low))
-            i = int(np.argmin(gray))
-            if best is None or (r, int(gray[i])) < best[:2]:
-                best = (r, int(gray[i]), block[tied[i]])
+            ranks, index = _block_ranks(block, bound)
+            if len(ranks):
+                r = int(ranks.min())
+                tied = index[ranks == r]
+                gray = _gray_index(tied.astype(np.uint64) + np.uint64(start))
+                i = int(np.argmin(gray))
+                if best is None or (r, int(gray[i])) < best[:2]:
+                    best = (r, int(gray[i]), block[tied[i]])
+            start += len(block)
         return MinQubitsResult(best[0] // 2, True, _matrix_of_words(m, best[2]), total, total)
 
     # Sampled upper bound: offset alone, plus all single and pair basis
@@ -508,18 +485,32 @@ def _reducible_rows(block: np.ndarray) -> np.ndarray:
     return (srt[:, 0] == np.zeros((), srt.dtype)) | (srt[:, 1:] == srt[:, :-1]).any(axis=1)
 
 
+def _row_labels(block: np.ndarray) -> np.ndarray:
+    """Per matrix of a (count, m, W) uint64 block, each row's label: the
+    least index of a row equal to it, or m for a zero row.  A label vector
+    is the matrix's reduction signature (``reduce._gram_labels`` of one
+    matrix); returns (count, m) labels in the least unsigned dtype that
+    holds m."""
+    keys = _row_keys(block)
+    count, m = keys.shape
+    order = np.argsort(keys, axis=1, kind="stable")
+    srt = np.take_along_axis(keys, order, axis=1)
+    starts = np.ones((count, m), dtype=bool)
+    starts[:, 1:] = srt[:, 1:] != srt[:, :-1]
+    # A stable sort leads each run of equal rows with its least index.
+    run_start = np.maximum.accumulate(np.where(starts, np.arange(m), 0), axis=1)
+    least = np.take_along_axis(order, run_start, axis=1)
+    least[srt == np.zeros((), srt.dtype)] = m
+    labels = np.empty((count, m), dtype=np.min_scalar_type(m))
+    np.put_along_axis(labels, order, least.astype(labels.dtype), axis=1)
+    return labels
+
+
 def _reducible_by_scan(
     offset: BitMatrix, basis: Sequence[BitMatrix], deadline: float | None = None
 ) -> bool:
     """``_has_reducible_matrix`` by scanning the whole space in blocks."""
-    m = offset.num_rows
-    width = (m + 63) // 64
-    vecs = [_words(b, width) for b in basis]
-    for block in _span_blocks(_words(offset, width), vecs, _block_low(m * width)):
-        _check_deadline(deadline)
-        if _reducible_rows(block.reshape(-1, m, width)).any():
-            return True
-    return False
+    return any(_reducible_rows(block).any() for block in _space_blocks(offset, basis, deadline))
 
 
 def _reducible_by_solves(
@@ -571,7 +562,6 @@ __all__ = [
     "NotProperEulerianError",
     "valid_gram_space",
     "validate_gram",
-    "magic_parity",
     "fast_magic_parity",
     "is_magic_gram",
     "magic_affine_space",

@@ -22,9 +22,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
-from .gf2 import BitMatrix, _affine_solutions, _block_low, _span_blocks
+from .gf2 import BitMatrix, _affine_solutions
 from .gram import (
     GramSpace,
     _DeadlineReached,
@@ -34,8 +32,8 @@ from .gram import (
     _magic_space,
     _matrix_of_words,
     _reducible_rows,
-    _row_keys,
-    _words,
+    _row_labels,
+    _space_blocks,
     fast_magic_parity,
     is_magic_gram,
     is_reduced,
@@ -133,7 +131,8 @@ def _validate_recipe(h: Hypergraph, recipe: ReductionRecipe) -> dict[int, int]:
                 if v in recipe.deleted_vertices:
                     raise RecipeError(f"preimage of {new} references deleted vertex {v}")
                 if v in mapping:
-                    raise RecipeError(f"vertex {v} appears in two preimages")
+                    where = f"twice in the preimage of {new}" if mapping[v] == new else "in two preimages"
+                    raise RecipeError(f"vertex {v} appears {where}")
                 if not 1 <= v <= m:
                     raise RecipeError(f"preimage vertex {v} outside 1..{m}")
                 mapping[v] = new
@@ -540,26 +539,6 @@ class DescentReport:
     elapsed_seconds: float
 
 
-def _row_labels(block: np.ndarray) -> np.ndarray:
-    """Per matrix of a (count, m, W) uint64 block, each row's label: the
-    least index of a row equal to it, or m for a zero row.  A label vector
-    is the matrix's reduction signature (``_gram_labels`` of one matrix);
-    returns (count, m) labels in the least unsigned dtype that holds m."""
-    keys = _row_keys(block)
-    count, m = keys.shape
-    order = np.argsort(keys, axis=1, kind="stable")
-    srt = np.take_along_axis(keys, order, axis=1)
-    starts = np.ones((count, m), dtype=bool)
-    starts[:, 1:] = srt[:, 1:] != srt[:, :-1]
-    # A stable sort leads each run of equal rows with its least index.
-    run_start = np.maximum.accumulate(np.where(starts, np.arange(m), 0), axis=1)
-    least = np.take_along_axis(order, run_start, axis=1)
-    least[srt == np.zeros((), srt.dtype)] = m
-    labels = np.empty((count, m), dtype=np.min_scalar_type(m))
-    np.put_along_axis(labels, order, least.astype(labels.dtype), axis=1)
-    return labels
-
-
 def _reducible_signatures(
     h: Hypergraph,
     offset: BitMatrix,
@@ -570,60 +549,55 @@ def _reducible_signatures(
 ):
     """Yield one (signature, matrix) per distinct reduction outcome.
 
-    A signature is the matrix's row labels (``_row_labels``) as a tuple,
-    which fixes the deleted set and the equal-row partition.  Up to the
-    cap the whole magic space is scanned in binary order, one
-    ``_span_blocks`` block at a time, at any row width; each block's
-    reducible matrices are labelled together and the first matrix of
-    every new signature is yielded.  Beyond the cap, every
+    A signature is the matrix's row labels (``gram._row_labels``) as a
+    tuple, which fixes the deleted set and the equal-row partition.  The
+    matrices come as ``gram._space_blocks`` blocks; each block's reducible
+    matrices are labelled together and the first matrix of every new
+    signature is yielded.  Up to the cap the blocks are the whole magic
+    space, in binary order, at any row width.  Beyond the cap, every
     reducible matrix lies in a zero-row or equal-row affine slice, and up
-    to 2^12 matrices of each solvable slice are sampled as one block: its
-    particular solution shifted by the span of its first 12 kernel
-    vectors, both read off the defect's columns (``_affine_solutions``),
-    labelled the same way.  Raises ``_DeadlineReached`` once
-    ``deadline`` (``time.monotonic``) has passed, checked once per scanned
-    block or per affine slice.
+    to 2^12 matrices of each solvable slice are sampled: offset ^
+    combination(x0) plus the span of the combinations of its first 12
+    kernel vectors, x0 and the kernel read off the defect's columns
+    (``_affine_solutions``), a combination x being XOR{nonmagic[l] : bit l
+    of x}.  Raises ``_DeadlineReached`` once ``deadline``
+    (``time.monotonic``) has passed, checked once per block and per
+    affine slice.
     """
-    d = len(nonmagic)
     m = h.vertex_count
-    width = (m + 63) // 64
-    vecs = np.array([_words(b, width) for b in nonmagic], dtype=np.uint64).reshape(d, m * width)
     seen: set = set()
 
-    def new_signatures(block: np.ndarray):
-        stats["inspected"] += block.shape[0]
-        reducible = block[_reducible_rows(block)]
-        labels = _row_labels(reducible)
-        keys = labels.tobytes()
-        step = m * labels.itemsize
-        for k in range(reducible.shape[0]):
-            key = keys[k * step : (k + 1) * step]
-            if key not in seen:
-                seen.add(key)
-                yield tuple(labels[k].tolist()), _matrix_of_words(m, reducible[k])
+    def new_signatures(blocks):
+        for block in blocks:
+            stats["inspected"] += len(block)
+            reducible = block[_reducible_rows(block)]
+            labels = _row_labels(reducible)
+            keys = labels.tobytes()
+            step = m * labels.itemsize
+            for k in range(len(reducible)):
+                key = keys[k * step : (k + 1) * step]
+                if key not in seen:
+                    seen.add(key)
+                    yield tuple(labels[k].tolist()), _matrix_of_words(m, reducible[k])
 
-    if d <= gram_cap:
-        for block in _span_blocks(_words(offset, width), vecs, _block_low(m * width)):
-            _check_deadline(deadline)
-            yield from new_signatures(block.reshape(-1, m, width))
+    if len(nonmagic) <= gram_cap:
+        yield from new_signatures(_space_blocks(offset, nonmagic, deadline))
         return
 
-    def combinations(xs: list[int]) -> np.ndarray:
-        """Per coefficient vector, XOR{nonmagic[l] : bit l set} as words."""
-        take = np.array([[(x >> l) & 1 for l in range(d)] for x in xs], dtype=np.uint64)
-        return np.bitwise_xor.reduce(vecs * take.reshape(len(xs), d, 1), axis=1)
+    def combination(x: int) -> BitMatrix:
+        rows = [0] * m
+        for l, b in enumerate(nonmagic):
+            if (x >> l) & 1:
+                rows = [r ^ s for r, s in zip(rows, b.rows)]
+        return BitMatrix(m, tuple(rows))
 
-    base = np.array(_words(offset, width), dtype=np.uint64)
-    sample_low = 12
     for _, cols, target in _defects(offset, nonmagic):
         _check_deadline(deadline)
         solutions = _affine_solutions(cols, target)
-        if solutions is None:
-            continue
-        x0, kernel = solutions
-        start, *shifts = combinations([x0] + kernel[:sample_low])
-        (block,) = _span_blocks(base ^ start, shifts, sample_low)
-        yield from new_signatures(block.reshape(-1, m, width))
+        if solutions is not None:
+            x0, kernel = solutions
+            shifts = [combination(x) for x in kernel[:12]]
+            yield from new_signatures(_space_blocks(offset ^ combination(x0), shifts, deadline))
 
 
 def _signature_orbit(labels: tuple[int, ...], gens: list[list[int]]) -> list[tuple]:

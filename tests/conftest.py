@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import itertools
 import random
+from typing import Sequence
 
 import numpy as np
 import pytest
 
 from magicsets import datasets, gram
 from magicsets.assign import assignment_from_gram
-from magicsets.gf2 import BitMatrix, BitVector, Echelon, _rank_rows, null_space_basis
+from magicsets.gf2 import BitMatrix, BitVector, Echelon, null_space_basis, rank
 from magicsets.gram import is_reduced, valid_gram_space
 from magicsets.hypergraph import Hypergraph
 from magicsets.reduce import ReductionRecipe, ReductionSnapshots, _validate_recipe, reduce_with
@@ -151,6 +152,61 @@ def valid_gram_system(h: Hypergraph, contexts: list[int] | None = None) -> BitMa
     return BitMatrix(len(var_index), tuple(equations))
 
 
+def magic_parity(
+    h: Hypergraph,
+    g: BitMatrix,
+    edge_order: Sequence[int] | None = None,
+    inner_orders: Sequence[Sequence[int]] | None = None,
+    vertex_order: Sequence[int] | None = None,
+) -> int:
+    """Inversion-sum parity over the concatenated context list.
+
+    Contexts are listed jointly (stored edge order by default), and the sum
+    collects g entries over position pairs that are out of order under a
+    total vertex order (natural index order by default).  For a valid Gram
+    matrix the result does not depend on any of the three order choices.
+    The order-general oracle of ``gram.fast_magic_parity``.
+    """
+    edges = list(h.edges)
+    if edge_order is not None:
+        if sorted(edge_order) != list(range(len(edges))):
+            raise ValueError("edge_order must be a permutation of 0..n-1")
+        edges = [edges[i] for i in edge_order]
+    if inner_orders is not None:
+        edges = [tuple(edges[i][j] for j in perm) for i, perm in enumerate(inner_orders)]
+    rank_of = list(range(h.vertex_count + 1))
+    if vertex_order is not None:
+        if sorted(vertex_order) != list(range(1, h.vertex_count + 1)):
+            raise ValueError("vertex_order must be a permutation of 1..m")
+        for r, v in enumerate(vertex_order):
+            rank_of[v] = r
+    concat = [v for e in edges for v in e]
+    parity = 0
+    for b in range(len(concat)):
+        vb = concat[b]
+        for a in range(b):
+            va = concat[a]
+            if rank_of[va] > rank_of[vb]:
+                parity ^= g.entry(va - 1, vb - 1)
+    return parity
+
+
+def rref_kernel(ech: Echelon, cols: int) -> list[int]:
+    """The kernel of the rows ``ech`` spans, over ``cols`` columns, read
+    off ``Echelon.rref()``: per free column, in ascending order, the free
+    bit plus the pivot bits of the reduced rows that contain it.  How
+    ``gf2._null_vectors`` read the kernel before it back-substituted over
+    the stored rows (``gf2._kernel_vectors``), kept as its oracle."""
+    vecs = {free: 1 << free for free in range(cols) if free not in ech.pivots}
+    for p, row in ech.rref():
+        rest = row ^ (1 << p)  # free columns only
+        while rest:
+            low = rest & -rest
+            vecs[low.bit_length() - 1] |= 1 << p
+            rest ^= low
+    return list(vecs.values())
+
+
 def matrix_split_oracle(h: Hypergraph) -> tuple[BitMatrix | None, tuple[BitMatrix, ...], int]:
     """(magic_offset, nonmagic_basis, dim) of the valid Gram space, split
     matrix by matrix: every kernel vector of ``valid_gram_system`` becomes
@@ -286,7 +342,7 @@ def synthesized_rep(h: Hypergraph, g: BitMatrix, row_space: Echelon) -> int:
     cosets off the Gram matrices by parities over the cycle basis, kept as
     their oracle: synthesize at rank/2 qubits, multiply out every context.
     """
-    k = _rank_rows(g.rows) // 2
+    k = rank(g) // 2
     return row_space.reduce(assignment_from_gram(h, g, k).context_signs.bits)
 
 

@@ -18,7 +18,6 @@ from magicsets.bound import brute_force_bound, format_epsilon, noncontextual_bou
 from magicsets.gf2 import BitVector, rank
 from magicsets.gram import (
     fast_magic_parity,
-    magic_parity,
     min_qubits,
     valid_gram_space,
 )
@@ -33,7 +32,7 @@ from magicsets.reduce import (
     find_minimal_descendants,
 )
 
-from conftest import random_proper_eulerian
+from conftest import magic_parity, random_proper_eulerian
 
 PUBLISHED_ASSIGNMENTS = ["MS3-29", "MS5-26", "MS4-21b", "MS3-27b", "MS6-35"]
 

@@ -35,7 +35,6 @@ from magicsets.gf2 import (
 )
 from magicsets.gram import (
     NoMagicGramError,
-    magic_parity,
     min_qubits,
     valid_gram_space,
 )
@@ -50,6 +49,7 @@ from conftest import (
     gray_sign_cosets,
     hb_descendants,
     magic_descendant,
+    magic_parity,
     random_proper_eulerian,
     relabelled,
     rigid_blocks,

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 
 import pytest
 
-from magicsets import datasets, gram
+from magicsets import cli, datasets, gram
+from magicsets.bound import hypergraph_bound, noncontextual_bound
 from magicsets.cli import build_parser, main
 
 
@@ -210,6 +212,32 @@ class TestBound:
         doc = json.loads(capsys.readouterr().out)
         assert doc["b"] == 17 and doc["pauli_only"] is True
 
+    @pytest.mark.parametrize("extra", [[], ["--all-assignments"]])
+    def test_hypergraph_level_brute_force(self, square_file, capsys, extra):
+        # The oracle runs at the maximizing signs, as it runs at given signs.
+        argv = ["bound", square_file, "--hypergraph-level", "--brute-force", "--json", *extra]
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["brute_force_b"] == doc["b"] == 4
+
+    def test_hypergraph_level_oracle_mismatch_raises(self, square_file, monkeypatch):
+        seen = []
+
+        def off_by_two(h, c):
+            seen.append(c)
+            rep = noncontextual_bound(h, c)
+            return dataclasses.replace(rep, b=rep.b + 2)
+
+        monkeypatch.setattr(cli, "brute_force_bound", off_by_two)
+        with pytest.raises(AssertionError, match="oracle disagrees: coset 4, brute force 6"):
+            main(["bound", square_file, "--hypergraph-level", "--brute-force"])
+        assert seen == [hypergraph_bound(datasets.load("square").hypergraph).maximizing_signs]
+
+    def test_all_assignments_needs_hypergraph_level(self, ms5_26_files, capsys):
+        hpath, apath = ms5_26_files
+        assert main(["bound", hpath, "--assignment", apath, "--all-assignments"]) == 2
+        assert capsys.readouterr().err == "error: --all-assignments needs --hypergraph-level\n"
+
     def test_capped_warning_names_cap(self, tmp_path, capsys):
         # K_33 as 528 pair contexts: row-space rank 32 past the coset search
         # cap of 30 and codimension 496 past the syndrome table.
@@ -286,6 +314,20 @@ class TestReduce:
 
     def test_requires_mode(self, ms3_27b_file):
         assert main(["reduce", ms3_27b_file]) == 2
+
+    def test_recipe_and_search_exclude_each_other(self, ms3_27b_file, tmp_path, capsys):
+        rpath = tmp_path / "recipe.json"
+        rpath.write_text(json.dumps({}))
+        with pytest.raises(SystemExit) as exc:
+            main(["reduce", ms3_27b_file, "--recipe", str(rpath), "--search"])
+        assert exc.value.code == 2
+        assert "argument --search: not allowed with argument --recipe" in capsys.readouterr().err
+
+    def test_repeat_inside_one_preimage_is_named(self, square_file, tmp_path, capsys):
+        rpath = tmp_path / "recipe.json"
+        rpath.write_text(json.dumps({"identify": {"1": [1, 1], **{str(v): [v] for v in range(2, 10)}}}))
+        assert main(["reduce", square_file, "--recipe", str(rpath)]) == 2
+        assert capsys.readouterr().err == "error: vertex 1 appears twice in the preimage of 1\n"
 
     def test_bad_recipe(self, ms3_27b_file, tmp_path):
         rpath = tmp_path / "recipe.json"

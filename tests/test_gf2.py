@@ -25,18 +25,19 @@ from magicsets.gf2 import (
     _ascending_span,
     _block_low,
     _block_ranks,
+    _independent,
+    _kernel_vectors,
     _min_weight_dfs,
     _null_vectors,
-    _rank_rows,
     _row_combinations,
     _span_blocks,
-    _top_insert,
 )
 from magicsets.gram import _reducible_by_scan, _reducible_by_solves
 
 from conftest import (
     bfs_syndrome_weights,
     independent_contexts,
+    rref_kernel,
     row_form_solutions,
     valid_gram_system,
 )
@@ -559,10 +560,45 @@ class TestEchelonAgainstOracles:
         assert ech.rank == rank(BitMatrix(width, tuple(rows))) == len(_echelon(rows))
 
     @given(row_systems())
-    def test_top_insert_flags_independent_rows(self, system):
+    def test_independent_flags_independent_rows(self, system):
         _, rows = system
-        grew = list(_top_insert({}, rows))
+        grew = list(_independent(rows))
         assert grew == [len(_echelon(rows[: i + 1])) > len(_echelon(rows[:i])) for i in range(len(rows))]
+
+    @given(row_systems(), st.data())
+    def test_kernel_vectors_match_rref_read_off(self, system, data):
+        """Back-substitution over the stored rows gives the kernel the
+        reduced echelon form gives, whole and for any free columns."""
+        width, rows = system
+        ech = Echelon(rows)
+        want = rref_kernel(ech, width)
+        assert _null_vectors(ech, width) == want
+        free = [f for f in range(width) if f not in ech.pivots]
+        picked = data.draw(st.lists(st.sampled_from(free), max_size=4)) if free else []
+        assert _kernel_vectors(ech, picked) == [want[free.index(f)] for f in picked]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_kernel_vectors_on_wide_echelons(self, seed):
+        # Sparse rows over up to 300 columns, inserted in random order, so
+        # stored rows keep many bits on later pivots.
+        rng = random.Random(seed)
+        for _ in range(20):
+            width = rng.randint(1, 300)
+            ech = Echelon(rng.getrandbits(width) & rng.getrandbits(width) for _ in range(rng.randint(0, width)))
+            want = rref_kernel(ech, width)
+            assert _null_vectors(ech, width) == want
+            for x in want:
+                assert not any((row & x).bit_count() & 1 for row in ech.pivots.values())
+
+    @given(row_systems(), st.data())
+    def test_min_weight_search_on_stored_rows(self, system, data):
+        """The search gives the same weight and witness on the stored,
+        semi-reduced rows as on the reduced echelon form."""
+        width, rows = system
+        ech = Echelon(rows)
+        offset = ech.reduce(data.draw(st.integers(0, (1 << width) - 1)))
+        want = _min_weight_dfs(ech.rref(), offset, width)
+        assert _min_weight_dfs(sorted(ech.pivots.items()), offset, width) == want
 
     @given(row_systems(), st.data())
     def test_coset_reduction(self, system, data):
@@ -730,7 +766,7 @@ class TestBlockRanksAgainstRankRows:
                     rows[-1] = rows[0] ^ rows[1]  # a dependent row
                 mats.append(rows)
             block = np.array([_as_words(rows, width) for rows in mats], dtype=np.uint64)
-            want = [_rank_rows(rows) for rows in mats]
+            want = [Echelon(rows).rank for rows in mats]
             ranks, index = _block_ranks(block)
             assert ranks.tolist() == want and index.tolist() == list(range(count))
             bound = rng.randint(0, nrows)
@@ -742,7 +778,7 @@ class TestBlockRanksAgainstRankRows:
         # Bit 63 and the word boundary: rows e_63, e_64, e_63 + e_64.
         rows = [1 << 63, 1 << 64, (1 << 63) | (1 << 64), (1 << 64) - 1]
         block = np.array([_as_words(rows, 2)], dtype=np.uint64)
-        assert _block_ranks(block)[0].tolist() == [_rank_rows(rows)] == [3]
+        assert _block_ranks(block)[0].tolist() == [Echelon(rows).rank] == [3]
 
     def test_all_zero_block(self):
         ranks, index = _block_ranks(np.zeros((5, 4, 2), dtype=np.uint64), 0)

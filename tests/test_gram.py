@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +13,8 @@ from magicsets.gf2 import (
     _affine_solutions,
     _block_low,
     _block_ranks,
+    Echelon,
     _null_vectors,
-    _rank_rows,
     rank,
 )
 from magicsets.gram import (
@@ -25,7 +26,6 @@ from magicsets.gram import (
     is_minimal,
     is_reduced,
     magic_affine_space,
-    magic_parity,
     min_qubits,
     _defects,
     _inversion_masks,
@@ -44,6 +44,7 @@ from conftest import (
     hb_descendants,
     loop_defect_systems,
     magic_descendant,
+    magic_parity,
     matrix_split_oracle,
     pair_variables,
     random_proper_eulerian,
@@ -407,6 +408,40 @@ class TestReducedMinimal:
         assert not is_minimal(entries["HB"].hypergraph)
 
 
+class TestSpaceBlocks:
+    """Every block producer's output concatenates to the span in binary order."""
+
+    @pytest.mark.parametrize("low", range(4))
+    @pytest.mark.parametrize("m", [5, 64, 70, 130])
+    def test_binary_order(self, monkeypatch, low, m):
+        rng = random.Random(10 * m + low)
+        offset = BitMatrix(m, tuple(rng.getrandbits(m) for _ in range(m)))
+        basis = [BitMatrix(m, tuple(rng.getrandbits(m) for _ in range(m))) for _ in range(5)]
+        monkeypatch.setattr(gram, "_block_low", lambda words: low)
+        blocks = list(gram._space_blocks(offset, basis))
+        assert [b.shape for b in blocks] == [(1 << low, m, (m + 63) // 64)] * (1 << (5 - low))
+        want = []
+        for i in range(1 << 5):
+            g = offset
+            for l in range(5):
+                if (i >> l) & 1:
+                    g = g ^ basis[l]
+            want.append(g)
+        assert [gram._matrix_of_words(m, words) for b in blocks for words in b] == want
+
+    def test_empty_basis(self):
+        offset = BitMatrix(3, (6, 5, 3))
+        (block,) = gram._space_blocks(offset, [])
+        assert gram._matrix_of_words(3, block[0]) == offset
+
+    def test_deadline_checked_before_each_block(self, monkeypatch):
+        monkeypatch.setattr(gram, "_block_low", lambda words: 1)
+        offset = BitMatrix(2, (2, 1))
+        blocks = gram._space_blocks(offset, [offset, offset], deadline=time.monotonic() - 1)
+        with pytest.raises(gram._DeadlineReached):
+            next(blocks)
+
+
 class TestDefectSystemsAgainstLoop:
     """The defects' columns and targets are those of the bit-probing
     loop's row-form systems, in the same order."""
@@ -490,14 +525,14 @@ def gray_min_qubits(h: Hypergraph, enumeration_cap: int = 24) -> MinQubitsResult
         searched = 0
         for _, rows in gray_enumerate(list(offset.rows), [list(b.rows) for b in basis]):
             searched += 1
-            r = _rank_rows(rows)
+            r = Echelon(rows).rank
             if best_rank is None or r < best_rank:
                 best_rank, best_rows = r, tuple(rows)
         return MinQubitsResult(best_rank // 2, True, BitMatrix(h.vertex_count, best_rows), searched, 1 << d)
     candidates = [offset] + [offset ^ b for b in basis]
     candidates += [offset ^ basis[i] ^ basis[j] for i in range(d) for j in range(i + 1, d)]
-    best = min(candidates, key=lambda g: _rank_rows(g.rows))
-    return MinQubitsResult(_rank_rows(best.rows) // 2, False, best, len(candidates), 1 << d)
+    best = min(candidates, key=rank)
+    return MinQubitsResult(rank(best) // 2, False, best, len(candidates), 1 << d)
 
 
 class TestMinQubitsAgainstGrayScan:
@@ -524,7 +559,7 @@ class TestMinQubitsAgainstGrayScan:
 
         monkeypatch.setattr(gram, "_block_ranks", recording)
         res = min_qubits(h)
-        assert _rank_rows(valid_gram_space(h).magic_offset.rows) == 6
+        assert rank(valid_gram_space(h).magic_offset) == 6
         assert bounds == [6]
         assert res == gray_min_qubits(h)
 
@@ -544,7 +579,7 @@ class TestMinQubitsAgainstGrayScan:
             bounds.clear()
             res = min_qubits(h)
             first_bounds.append(bounds[0])
-            offset_ranks.append(_rank_rows(valid_gram_space(h).magic_offset.rows))
+            offset_ranks.append(rank(valid_gram_space(h).magic_offset))
             if offset_ranks[-1] != 6:
                 assert res == gray_min_qubits(h)
         assert first_bounds == [6] * 20

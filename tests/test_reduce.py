@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import ast
+import inspect
 import random
 import time
 
@@ -13,6 +15,7 @@ from magicsets.gf2 import BitMatrix, _block_low, _span_blocks
 from magicsets.gram import (
     _has_reducible_matrix,
     _reducible_rows,
+    _row_labels,
     _words,
     is_magic_gram,
     is_reduced,
@@ -21,7 +24,7 @@ from magicsets.gram import (
 from magicsets.hypergraph import Hypergraph, is_proper_eulerian, parse_edge_list
 from magicsets.orbits import ms327_hypergraph
 from magicsets.pauli import decode, encode, gram_matrix_of
-from magicsets import reduce
+from magicsets import gram, reduce
 from magicsets.reduce import (
     DescentReport,
     RecipeError,
@@ -29,7 +32,6 @@ from magicsets.reduce import (
     _child,
     _key_and_gens,
     _reducible_signatures,
-    _row_labels,
     _validate_recipe,
     apply_recipe,
     are_isomorphic,
@@ -149,6 +151,14 @@ class TestApplyRecipe:
         bad = ReductionRecipe.build([], {i: [i] for i in [1, 2, 3, 4, 5, 6, 7, 8, 10]})
         with pytest.raises(RecipeError):
             apply_recipe(square.hypergraph, bad)
+
+    def test_repeat_inside_one_preimage_is_named(self, square):
+        twice = ReductionRecipe.build([], {1: [1, 1], **{v: [v] for v in range(2, 10)}})
+        with pytest.raises(RecipeError, match="^vertex 1 appears twice in the preimage of 1$"):
+            apply_recipe(square.hypergraph, twice)
+        both = ReductionRecipe.build([], {1: [1, 2], 2: [2], **{v: [v] for v in range(3, 10)}})
+        with pytest.raises(RecipeError, match="^vertex 2 appears in two preimages$"):
+            apply_recipe(square.hypergraph, both)
 
     def test_json_round_trip(self, entries):
         r = entries["MS5-26"].recipe
@@ -463,7 +473,7 @@ class TestBlockSignatures:
         # and three words), the blocks' 24 and 84 vertices zero rows in
         # every matrix.
         if low is not None:
-            monkeypatch.setattr(reduce, "_block_low", lambda words: low)
+            monkeypatch.setattr(gram, "_block_low", lambda words: low)
         rng = random.Random(85)
         hd = entries["HD"].hypergraph
         wide = [disjoint_union(hd, rigid_blocks(4)), disjoint_union(hd, rigid_blocks(14))]
@@ -477,6 +487,19 @@ class TestBlockSignatures:
             want = per_matrix_signatures(h, _block_low(words) if low is None else low)
             assert got == want
             assert stats["inspected"] == 1 << len(sp.nonmagic_basis)
+
+
+def test_reduce_leaves_the_word_layout_to_gram():
+    """Only ``gram`` lays magic spaces out in uint64 words: ``reduce``
+    imports no numpy and none of the block helpers."""
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(reduce))):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported |= {(node.module or "").split(".")[0]} | {alias.name for alias in node.names}
+    assert not imported & {"numpy", "_words", "_block_low", "_span_blocks", "_row_keys"}
+    assert all(value is not np for value in vars(reduce).values())
 
 
 class TestSampledSignatures:
