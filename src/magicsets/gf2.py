@@ -265,12 +265,13 @@ def _kernel_vectors(ech: Echelon, free: Iterable[int]) -> list[int]:
     stored rows in descending pivot order, pivot p joins x when its row
     has an odd number of bits in x (a row has no bit below its pivot, and
     the bits of x above p are final by then)."""
-    rows = sorted(ech.pivots.items(), reverse=True)
+    pivots = ech.pivots
+    order = sorted(pivots, reverse=True)
     out = []
     for f in free:
         x = 1 << f
-        for p, row in rows:
-            if (row & x).bit_count() & 1:
+        for p in order:
+            if (pivots[p] & x).bit_count() & 1:
                 x |= 1 << p
         out.append(x)
     return out
