@@ -70,7 +70,7 @@ def load_hypergraph(path: str) -> Hypergraph:
                 doc = doc["hypergraph"]
             return Hypergraph.from_json_dict(doc)
         return parse_edge_list(text)
-    except (ValueError, KeyError) as err:
+    except ValueError as err:
         raise InputError(f"cannot parse hypergraph from {path}: {err}") from err
 
 

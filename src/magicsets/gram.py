@@ -6,7 +6,10 @@ context and (b) the rows indexed by each context sum to zero.  Valid
 matrices form a linear space; magicness is the parity of an inversion sum
 over a fixed concatenation of all contexts, which is a linear functional
 on that space.  Magic matrices, when they exist, therefore form an affine
-subspace of exactly half the valid Gram space.
+subspace of exactly half the valid Gram space.  (b) also gives every
+valid matrix G the rank of its core block G[S, S] (``_core``), S being
+the vertices whose context-incidence columns depend on the columns before
+them, so the qubit minimum ranks only that block.
 """
 
 from __future__ import annotations
@@ -99,6 +102,45 @@ def _validity_masks(h: Hypergraph) -> tuple[tuple[int, ...], tuple[tuple[int, ..
         for v in context:
             masks[v] |= bits ^ (1 << v)
     return tuple(masks), members
+
+
+@lru_cache(maxsize=4096)
+def _core(h: Hypergraph) -> tuple[int, ...]:
+    """The core S of h's Gram matrices: the vertices (0-based, ascending)
+    whose incidence columns, each the mask of the contexts holding that
+    vertex, are sums of the columns before them.
+
+    Every valid G has M·G = 0, M the context × vertex incidence matrix of
+    ``_validity_masks``' distinct members, since each context's rows sum
+    to zero.  The other vertices D have independent columns, so for each
+    v in D some sum of contexts meets D in v alone, and row v of G is a
+    sum of rows in S.  So rank G = rank G[S, :], and since the columns obey
+    the same relations, rank G[S, S].  |S| is m less the rank of M.
+    """
+    _, members = _validity_masks(h)
+    columns = [0] * h.vertex_count
+    for c, context in enumerate(members):
+        for v in context:
+            columns[v] |= 1 << c
+    return tuple(v for v, new in enumerate(_independent(columns)) if not new)
+
+
+def _restrict(g: BitMatrix, core: Sequence[int]) -> BitMatrix:
+    """The block g[core, core]: its row and column j are g's core[j]."""
+    return BitMatrix(
+        len(core),
+        tuple(sum(((g.rows[u] >> v) & 1) << j for j, v in enumerate(core)) for u in core),
+    )
+
+
+def _combination(offset: BitMatrix, basis: Sequence[BitMatrix], x: int) -> BitMatrix:
+    """offset ^ XOR{basis[l] : bit l of x}."""
+    rows = offset.rows
+    while x:
+        low = x & -x
+        rows = tuple(r ^ s for r, s in zip(rows, basis[low.bit_length() - 1].rows))
+        x ^= low
+    return BitMatrix(offset.cols, rows)
 
 
 def validate_gram(h: Hypergraph, g: BitMatrix) -> list[str]:
@@ -345,38 +387,46 @@ def min_qubits(h: Hypergraph, enumeration_cap: int = 24) -> MinQubitsResult:
     ``enumeration_cap``; beyond that, the best upper bound over sampled
     combinations of basis elements is returned with exact=False.
 
-    A space of one matrix (d = 0) is its offset, so the offset's rank is
-    the answer.  Otherwise the least rank of the offset and its d single
-    basis shifts, all in the space, bounds the minimum from above; the
-    offset's rank alone depends on the labels (on HB it is 10 under some
-    relabellings, where the least is 6).  The exact scan ranks all 2^d
-    matrices offset + span(nonmagic_basis) with ``gf2._block_ranks``, one
-    ``_space_blocks`` block at a time (2^14 matrices, fewer for wide
-    matrices), dropping every matrix ranked above the least rank of the
-    blocks before, or above the seed bound while no block has kept one, so
-    no matrix of least rank is dropped.  The witness is, among the
-    matrices of least rank, the one with the least Gray index: Gray step s
-    visits coefficient vector s ^ (s >> 1), one basis flip per step from
-    the offset at s = 0, and the first matrix of least rank on that walk
-    is the witness (a matrix's index in the space, whose Gray step that is,
-    counts on from the blocks before).  The sampled branch ranks its
-    candidate list, the offset, then its single and pair basis shifts, in
-    blocks of the same size under the same bounds, and its witness is the
-    first of least rank in that list.
+    Every matrix is ranked on its core block G[S, S] (``_core``), k × k
+    with k = m - rank M, whose rank is rank G.  Restriction is linear, so
+    the offset and the d basis matrices are restricted once each and the
+    space's blocks are laid out from those.  A space of one matrix (d = 0)
+    is its offset, so the offset's rank is the answer.  Otherwise the least
+    rank of the offset and its d single basis shifts, all in the space,
+    bounds the minimum from above; the offset's rank alone depends on the
+    labels (on HB it is 10 under some relabellings, where the least is 6).
+    The exact scan ranks all 2^d matrices offset + span(nonmagic_basis)
+    with ``gf2._block_ranks``, one ``_space_blocks`` block at a time (2^14
+    matrices, fewer for wide matrices), dropping every matrix ranked above
+    the least rank of the blocks before, or above the seed bound while no
+    block has kept one, so no matrix of least rank is dropped.  The
+    witness is, among the matrices of least rank, the one with the least
+    Gray index: Gray step s visits coefficient vector s ^ (s >> 1), one
+    basis flip per step from the offset at s = 0, and the first matrix of
+    least rank on that walk is the witness (a matrix's index in the space,
+    whose Gray step that is, counts on from the blocks before).  The
+    sampled branch ranks its candidate list, the offset, then its single
+    and pair basis shifts, in blocks of the same size under the same
+    bounds, and its witness is the first of least rank in that list.
+    Either way the m × m witness is rebuilt from its coefficients by
+    ``_combination``.
     """
     space = _magic_space(h)
-    offset = space.magic_offset
-    d = len(space.nonmagic_basis)
+    offset, basis = space.magic_offset, space.nonmagic_basis
+    d = len(basis)
     total = 1 << d
-    m = h.vertex_count
-    width = (m + 63) // 64
-    low = _block_low(m * width)
+    core = _core(h)
+    k = len(core)
+    width = (k + 63) // 64
+    low = _block_low(k * width)
+    core_offset = _restrict(offset, core)
+    core_basis = [_restrict(b, core) for b in basis]
 
-    seed = rank(offset)
-    for b in space.nonmagic_basis:
+    seed = rank(core_offset)
+    for b in core_basis:
         # A shift lowers the seed only if its rank stays below it.
         r = 0
-        for independent in _independent(x ^ y for x, y in zip(offset.rows, b.rows)):
+        for independent in _independent(x ^ y for x, y in zip(core_offset.rows, b.rows)):
             r += independent
             if r >= seed:
                 break
@@ -386,40 +436,43 @@ def min_qubits(h: Hypergraph, enumeration_cap: int = 24) -> MinQubitsResult:
     if d <= enumeration_cap:
         if not d:
             return MinQubitsResult(seed // 2, True, offset, 1, 1)
-        best = None  # (rank, Gray index, words)
+        best = None  # (rank, Gray index, index in the space)
         start = 0  # index in the space of the block's first matrix
-        for block in _space_blocks(offset, space.nonmagic_basis):
+        for block in _space_blocks(core_offset, core_basis):
             bound = seed if best is None else best[0]
             ranks, index = _block_ranks(block, bound)
             if len(ranks):
                 r = int(ranks.min())
-                tied = index[ranks == r]
-                gray = _gray_index(tied.astype(np.uint64) + np.uint64(start))
+                tied = index[ranks == r] + start
+                gray = _gray_index(tied.astype(np.uint64))
                 i = int(np.argmin(gray))
                 if best is None or (r, int(gray[i])) < best[:2]:
-                    best = (r, int(gray[i]), block[tied[i]])
+                    best = (r, int(gray[i]), int(tied[i]))
             start += len(block)
-        return MinQubitsResult(best[0] // 2, True, _matrix_of_words(m, best[2]), total, total)
+        witness = _combination(offset, basis, best[2])
+        return MinQubitsResult(best[0] // 2, True, witness, total, total)
 
     # Sampled upper bound: offset alone, plus all single and pair basis
     # shifts.  Candidate c is off ^ vecs[first[c]] ^ vecs[second[c]], where
     # index d names an appended zero vector.
-    off = np.array(_words(offset, width), dtype=np.uint64)
-    vecs = np.array([_words(b, width) for b in space.nonmagic_basis], dtype=np.uint64)
+    off = np.array(_words(core_offset, width), dtype=np.uint64)
+    vecs = np.array([_words(b, width) for b in core_basis], dtype=np.uint64)
     vecs = np.concatenate([vecs.reshape(d, len(off)), np.zeros((1, len(off)), dtype=np.uint64)])
     i, j = np.triu_indices(d, 1)  # pairs i < j, by i then j
     first = np.concatenate([[d], np.arange(d), i])
     second = np.concatenate([[d] * (d + 1), j])
-    best = None  # (rank, words)
+    best = None  # (rank, candidate)
     for start in range(0, len(first), 1 << low):
         stop = start + (1 << low)
         block = off ^ vecs[first[start:stop]] ^ vecs[second[start:stop]]
         bound = seed if best is None else best[0]
-        ranks, index = _block_ranks(block.reshape(-1, m, width), bound)
+        ranks, index = _block_ranks(block.reshape(-1, k, width), bound)
         if len(ranks) and (best is None or ranks.min() < best[0]):
-            k = int(np.argmin(ranks))
-            best = (int(ranks[k]), block[index[k]])
-    return MinQubitsResult(best[0] // 2, False, _matrix_of_words(m, best[1]), len(first), total)
+            c = int(np.argmin(ranks))
+            best = (int(ranks[c]), start + int(index[c]))
+    c = best[1]
+    x = sum(1 << int(l) for l in (first[c], second[c]) if l < d)
+    return MinQubitsResult(best[0] // 2, False, _combination(offset, basis, x), len(first), total)
 
 
 def is_reduced(g: BitMatrix) -> bool:

@@ -95,6 +95,8 @@ class Hypergraph:
     def from_json_dict(cls, doc: dict) -> "Hypergraph":
         if not isinstance(doc, dict):
             raise ValueError(f"a hypergraph document must be a JSON object, got {doc!r}")
+        if "edges" not in doc:
+            raise ValueError("a hypergraph document must have an 'edges' key")
         return cls.from_edges(
             doc["edges"],
             vertex_count=doc.get("vertices"),

@@ -27,6 +27,7 @@ from .gram import (
     GramSpace,
     _DeadlineReached,
     _check_deadline,
+    _combination,
     _defects,
     _has_reducible_matrix,
     _magic_space,
@@ -560,9 +561,9 @@ def _reducible_signatures(
     combination(x0) plus the span of the combinations of its first 12
     kernel vectors, x0 and the kernel read off the defect's columns
     (``_affine_solutions``), a combination x being XOR{nonmagic[l] : bit l
-    of x}.  Raises ``_DeadlineReached`` once ``deadline``
-    (``time.monotonic``) has passed, checked once per block and per
-    affine slice.
+    of x} (``gram._combination``).  Raises ``_DeadlineReached`` once
+    ``deadline`` (``time.monotonic``) has passed, checked once per block
+    and per affine slice.
     """
     m = h.vertex_count
     seen: set = set()
@@ -584,20 +585,15 @@ def _reducible_signatures(
         yield from new_signatures(_space_blocks(offset, nonmagic, deadline))
         return
 
-    def combination(x: int) -> BitMatrix:
-        rows = [0] * m
-        for l, b in enumerate(nonmagic):
-            if (x >> l) & 1:
-                rows = [r ^ s for r, s in zip(rows, b.rows)]
-        return BitMatrix(m, tuple(rows))
-
+    zero = BitMatrix.zero(m, m)
     for _, cols, target in _defects(offset, nonmagic):
         _check_deadline(deadline)
         solutions = _affine_solutions(cols, target)
         if solutions is not None:
             x0, kernel = solutions
-            shifts = [combination(x) for x in kernel[:12]]
-            yield from new_signatures(_space_blocks(offset ^ combination(x0), shifts, deadline))
+            shifts = [_combination(zero, nonmagic, x) for x in kernel[:12]]
+            base = _combination(offset, nonmagic, x0)
+            yield from new_signatures(_space_blocks(base, shifts, deadline))
 
 
 def _signature_orbit(labels: tuple[int, ...], gens: list[list[int]]) -> list[tuple]:

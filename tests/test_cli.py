@@ -146,6 +146,14 @@ class TestCheck:
         assert main(["check", str(path)]) == 2
         assert "a hypergraph document must be a JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc", [{"vertices": 3}, {"hypergraph": {"vertices": 3}}])
+    def test_missing_edges_is_input_error(self, tmp_path, capsys, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot parse hypergraph" in err and "must have an 'edges' key" in err
+
     def test_inexact_names_its_cap(self, tmp_path, capsys):
         path = tmp_path / "ha.json"
         path.write_text(datasets.load("HA").hypergraph.to_json())

@@ -33,7 +33,7 @@ from magicsets.gram import (
     valid_gram_space,
     validate_gram,
 )
-from magicsets.hypergraph import Hypergraph, dual, parse_edge_list
+from magicsets.hypergraph import Hypergraph, dual, incidence_matrix, parse_edge_list
 from magicsets.pauli import gram_matrix_of
 from magicsets.planarity import _prune_low_degree
 
@@ -428,6 +428,7 @@ class TestSpaceBlocks:
                     g = g ^ basis[l]
             want.append(g)
         assert [gram._matrix_of_words(m, words) for b in blocks for words in b] == want
+        assert [gram._combination(offset, basis, i) for i in range(1 << 5)] == want
 
     def test_empty_basis(self):
         offset = BitMatrix(3, (6, 5, 3))
@@ -510,6 +511,56 @@ def test_gram_consistency_with_pauli_verification(entries):
         e = entries[name]
         g = gram_matrix_of(e.assignment.strings)
         assert is_magic_gram(e.hypergraph, g)
+
+
+def core_block(g: BitMatrix, core) -> BitMatrix:
+    """g[core, core], entry by entry."""
+    return BitMatrix.from_rows([[g.entry(u, v) for v in core] for u in core], len(core))
+
+
+class TestCore:
+    """Every valid Gram matrix G has the rank of its core block G[S, S]."""
+
+    @staticmethod
+    def assert_core_rank(h: Hypergraph, rng: random.Random) -> tuple[int, ...]:
+        core = gram._core(h)
+        m = h.vertex_count
+        inc = incidence_matrix(h)
+        assert len(core) == m - rank(inc)
+        rest = [v for v in range(m) if v not in core]
+        assert rank(BitMatrix(inc.cols, tuple(inc.rows[v] for v in rest))) == len(rest)
+        space = valid_gram_space(h)
+        for g in list(space.basis) + space_elements(space, rng, 8):
+            assert rank(g) == rank(core_block(g, core))
+        return core
+
+    @pytest.mark.parametrize("name", datasets.NAMES)
+    def test_bundled_and_relabelled(self, entries, name):
+        rng = random.Random(name)
+        h = entries[name].hypergraph
+        core = self.assert_core_rank(h, rng)
+        for _ in range(3):
+            assert len(self.assert_core_rank(relabelled(h, rng), rng)) == len(core)
+
+    def test_core_sizes(self, entries):
+        sizes = {name: (len(gram._core(entries[name].hypergraph)), entries[name].hypergraph.vertex_count)
+                 for name in ("HA", "HB", "HC", "HD", "MS3-27b")}
+        assert sizes == {"HA": (20, 45), "HB": (15, 35), "HC": (15, 39), "HD": (9, 45), "MS3-27b": (11, 27)}
+
+    @given(st.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_random_proper_eulerian(self, seed):
+        rng = random.Random(seed)
+        self.assert_core_rank(random_proper_eulerian(rng), rng)
+
+    @pytest.mark.parametrize("copies", [6, 10])
+    def test_beside_rigid_blocks(self, entries, copies):
+        # Rigid blocks have independent incidence columns, so the core is
+        # HB's 15 vertices wherever the relabelling puts them.
+        rng = random.Random(copies)
+        h = relabelled(disjoint_union(rigid_blocks(copies), entries["HB"].hypergraph), rng)
+        assert h.vertex_count > 64
+        assert len(self.assert_core_rank(h, rng)) == 15
 
 
 def gray_min_qubits(h: Hypergraph, enumeration_cap: int = 24) -> MinQubitsResult:
@@ -605,10 +656,29 @@ class TestMinQubitsAgainstGrayScan:
         assert not res.exact
         assert res == gray_min_qubits(h, enumeration_cap=cap)
 
+    def test_scan_ranks_the_core_block(self, entries, monkeypatch):
+        # HB's 2^14 matrices are ranked on their 15-vertex core, one word
+        # per row, in one block, and so they are beside rigid blocks.
+        shapes = []
+
+        def recording(block, bound=None):
+            shapes.append(block.shape)
+            return _block_ranks(block, bound)
+
+        monkeypatch.setattr(gram, "_block_ranks", recording)
+        hb = entries["HB"].hypergraph
+        wide = relabelled(disjoint_union(rigid_blocks(6), hb), random.Random(9))
+        assert wide.vertex_count == 71
+        for h in (hb, wide):
+            shapes.clear()
+            assert min_qubits(h) == gray_min_qubits(h)
+            assert shapes == [(16384, 15, 1)]
+
     def test_rows_wider_than_64_bits(self, entries):
         # 71 vertices: rows span two words, and the relabelling spreads
-        # HB's vertices over both.  A matrix is then 142 words, so the scan
-        # takes four blocks of 2^12 rather than one of 2^14.
+        # HB's vertices over both.  A whole matrix would be 142 words, in
+        # blocks of 2^12; the scan ranks its core block instead and
+        # rebuilds the two-word witness from its index in the space.
         h = relabelled(disjoint_union(rigid_blocks(6), entries["HB"].hypergraph), random.Random(9))
         assert h.vertex_count == 71
         assert len(valid_gram_space(h).nonmagic_basis) == 14

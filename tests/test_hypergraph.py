@@ -50,6 +50,10 @@ class TestParsing:
         with pytest.raises(ValueError, match="labels must be a list of strings"):
             Hypergraph.from_json_dict(doc)
 
+    def test_missing_edges_key(self):
+        with pytest.raises(ValueError, match="must have an 'edges' key"):
+            Hypergraph.from_json_dict({"vertices": 3})
+
     def test_explicit_vertex_count(self):
         h = parse_edge_list("[[1,2]]", vertex_count=5)
         assert h.vertex_count == 5
